@@ -43,8 +43,6 @@ pub struct KernelPoint {
     pub f32_ms: f64,
     /// Best wall-clock of the integer kernels (ms).
     pub int_ms: f64,
-    /// `f32_ms / int_ms`.
-    pub speedup: f64,
 }
 
 /// Full result of the kernel micro-benchmark.
@@ -83,8 +81,7 @@ impl KernelsResult {
                 "    {{\"label\": \"{}\", \"in_ch\": {}, \"out_ch\": {}, \"hw\": {}, \
                  \"batch\": {}, \"splits\": {}, \"row_tiles\": {}, \
                  \"backends\": {{\"scalar_ms\": {:.3}, \"simd_f32_ms\": {:.3}, \
-                 \"int_panels_ms\": {:.3}}}, \"f32_ms\": {:.3}, \
-                 \"int_ms\": {:.3}, \"speedup\": {:.3}}}{}\n",
+                 \"int_panels_ms\": {:.3}}}}}{}\n",
                 p.label,
                 p.in_ch,
                 p.out_ch,
@@ -95,9 +92,6 @@ impl KernelsResult {
                 p.scalar_ms,
                 p.f32_ms,
                 p.int_ms,
-                p.f32_ms,
-                p.int_ms,
-                p.speedup,
                 if i + 1 < self.shapes.len() { "," } else { "" }
             ));
         }
@@ -214,7 +208,6 @@ fn bench_shape(
         scalar_ms,
         f32_ms,
         int_ms,
-        speedup: f32_ms / int_ms.max(1e-9),
     }
 }
 
@@ -331,7 +324,7 @@ pub fn run(scale: Scale) -> String {
                 format!("{:.2}", p.scalar_ms),
                 format!("{:.2}", p.f32_ms),
                 format!("{:.2}", p.int_ms),
-                format!("{:.2}x", p.speedup),
+                format!("{:.2}x", p.f32_ms / p.int_ms.max(1e-9)),
             ]
         })
         .collect();

@@ -16,11 +16,9 @@
 //!
 //! Sweeps execute on a pluggable [`ExecBackend`] resolved from a
 //! [`BackendSet`] fallback chain against the layer's [`ConvProfile`]
-//! (capability probe), and row-tile sharding is **placement-aware**: every
-//! shard of a [`ShardPlan`] can be pinned to its own backend, with
-//! freeze-time weight artifacts (grouped f32 slices, repacked integer
-//! panels) living with the backend that consumes them. All backends are
-//! bit-identical, so placement is purely about speed and locality.
+//! (capability probe); row-tile shards of a [`ShardPlan`] all run on that
+//! resolved backend. All backends are bit-identical, so the choice is
+//! purely about speed.
 //!
 //! Per-call intermediates (the quantized and channel-padded activations,
 //! per-split partial sums, the im2col matrix, shard slices) are checked out
@@ -31,34 +29,24 @@
 
 use crate::pipeline::IntGroupedWeights;
 use crate::{
-    Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumKernel, PsumPipeline, QuantizedConv,
-    ShardPlan,
+    Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumPipeline, QuantizedConv, ShardPlan,
 };
 use cq_quant::{GroupLayout, LsqQuantizer};
 use cq_tensor::{
-    arena, backend_instance, conv_out_dim, exec, BackendError, BackendKind, BackendSet,
-    ConvProfile, ConvShape, ExecBackend, Tensor,
+    arena, conv_out_dim, exec, BackendError, BackendKind, BackendSet, ConvProfile, ConvShape,
+    ExecBackend, Tensor,
 };
 use std::sync::Arc;
 
-/// One shard's execution assignment: the backend it runs on plus the
-/// freeze-time weight artifacts that backend consumes (pre-sliced f32
-/// weights for f32-family backends; integer backends index the layer's
-/// full panel sets by tile range instead).
-#[derive(Debug, Clone)]
-struct ShardBackend {
-    backend: Arc<dyn ExecBackend>,
-    /// Per-split contiguous `[len·OC, c_pa, K, K]` slices; empty for
-    /// integer backends.
-    weights: Vec<Tensor>,
-}
-
-/// Row-tile shard execution state: the (possibly placement-aware) shard
-/// plan plus each shard's backend assignment and weight artifacts.
+/// Row-tile shard execution state: the shard plan plus each shard's
+/// freeze-time weight artifacts for the resolved backend — per-split
+/// contiguous `[len·OC, c_pa, K, K]` f32 slices, or nothing when the
+/// backend is integer (it indexes the layer's full panel sets by tile
+/// range instead).
 #[derive(Debug, Clone)]
 struct ShardExec {
     plan: ShardPlan,
-    shards: Vec<ShardBackend>,
+    weights: Vec<Vec<Tensor>>,
 }
 
 /// A quantized convolution frozen for inference: weights quantized,
@@ -81,13 +69,12 @@ pub struct PreparedConv {
     profile: ConvProfile,
     /// The configured fallback chain.
     backends: BackendSet,
-    /// The resolved backend whole sweeps (and unplaced shards) run on.
+    /// The resolved backend every sweep and shard runs on.
     active: Arc<dyn ExecBackend>,
     adc: Adc,
     a_quant: LsqQuantizer,
     /// Row-tile sharded front-end, when enabled (see
-    /// [`PreparedConv::set_row_tile_shards`] /
-    /// [`PreparedConv::set_shard_plan`]).
+    /// [`PreparedConv::set_row_tile_shards`]).
     shard: Option<ShardExec>,
 }
 
@@ -162,10 +149,8 @@ impl PreparedConv {
     /// Selects the execution-backend fallback chain: the layer resolves
     /// (and whole sweeps run on) the first chain entry whose capability
     /// probe accepts this layer's [`ConvProfile`]. Any active row-tile
-    /// shard state is rebuilt with every shard on the newly resolved
-    /// backend (explicit placements are re-derived, see
-    /// [`PreparedConv::set_shard_plan`]). All backends are bit-identical,
-    /// so the choice is purely speed.
+    /// shard state is rebuilt for the newly resolved backend. All
+    /// backends are bit-identical, so the choice is purely speed.
     ///
     /// # Errors
     ///
@@ -173,20 +158,12 @@ impl PreparedConv {
     /// (e.g. [`BackendSet::int`] on slices that are not integer-eligible);
     /// the previous configuration is left untouched.
     pub fn set_backends(&mut self, backends: BackendSet) -> Result<(), BackendError> {
-        let active = backends
+        self.active = backends
             .resolve(&self.profile)
             .ok_or_else(|| BackendError::NoBackend(backends.kinds()))?;
-        let old_active = std::mem::replace(&mut self.active, active);
-        let old_backends = std::mem::replace(&mut self.backends, backends);
-        if let Some(plan) = self.shard.as_ref().map(|se| se.plan.clone()) {
-            match self.build_shard_exec(&plan) {
-                Ok(se) => self.shard = Some(se),
-                Err(e) => {
-                    self.active = old_active;
-                    self.backends = old_backends;
-                    return Err(e);
-                }
-            }
+        self.backends = backends;
+        if let Some(plan) = self.shard.take().map(|se| se.plan) {
+            self.shard = Some(self.build_shard_exec(plan));
         }
         Ok(())
     }
@@ -196,7 +173,7 @@ impl PreparedConv {
         &self.backends
     }
 
-    /// The resolved backend whole sweeps (and unplaced shards) run on.
+    /// The resolved backend every sweep and shard runs on.
     pub fn active_backend(&self) -> BackendKind {
         self.active.kind()
     }
@@ -204,24 +181,6 @@ impl PreparedConv {
     /// What this layer offers to backend capability probes.
     pub fn profile(&self) -> ConvProfile {
         self.profile
-    }
-
-    /// Compat selector for the legacy kernel-family enum: equivalent to
-    /// `set_backends(kernel.into())` (see [`BackendSet::from`]).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::NoBackend`] on [`PsumKernel::Int`] when the frozen
-    /// slices are not integer-eligible (device variation or out-of-range
-    /// formats); use `Auto` for f32 fallback.
-    pub fn set_psum_kernel(&mut self, kernel: PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(kernel.into())
-    }
-
-    /// The legacy [`PsumKernel`] view of the configured chain (see
-    /// [`BackendSet::as_psum_kernel`]).
-    pub fn psum_kernel(&self) -> PsumKernel {
-        self.backends.as_psum_kernel()
     }
 
     /// Whether whole sweeps currently dispatch to the integer kernels
@@ -237,9 +196,8 @@ impl PreparedConv {
     /// the canonical fixed-order reduce — outputs are **bit-identical**
     /// to the unsharded path for every shard count (counts larger than
     /// the number of row tiles are clamped). Every shard runs on the
-    /// layer's resolved backend; use [`PreparedConv::set_shard_plan`] for
-    /// per-shard placement. Per-shard weight slices are cut once here, so
-    /// serving does no per-call weight copying.
+    /// layer's resolved backend. Per-shard weight slices are cut once
+    /// here, so serving does no per-call weight copying.
     ///
     /// Shard tasks and the kernels they call all run on the one
     /// `CQ_THREADS`-capped pool (nested scopes lend their caller to the
@@ -254,92 +212,29 @@ impl PreparedConv {
         assert!(shards != Some(0), "shard count must be positive");
         self.shard = shards.and_then(|n| {
             let plan = ShardPlan::split(self.desc.plan.num_row_tiles, n);
-            (!plan.is_trivial()).then(|| {
-                self.build_shard_exec(&plan)
-                    .expect("unplaced shard plans always build on the resolved backend")
-            })
+            (!plan.is_trivial()).then(|| self.build_shard_exec(plan))
         });
     }
 
-    /// Installs an explicit (possibly **placement-aware**) row-tile shard
-    /// plan: each shard executes on its assigned [`BackendKind`] (unplaced
-    /// shards use the layer's resolved backend), and freeze-time weight
-    /// artifacts are cut per shard for the backend that consumes them.
-    /// Mixed-backend plans rejoin bit-exactly — every backend computes
-    /// identical partial sums, and the scatter rejoin preserves the
-    /// canonical reduce order.
-    ///
-    /// Unlike [`PreparedConv::set_row_tile_shards`], a trivial one-shard
-    /// plan is honored as given (useful for pinning a whole layer's sweep
-    /// onto one placed backend).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Unsupported`] when a placed backend's capability
-    /// probe rejects this layer (placement is strict — there is no silent
-    /// fallback); the previous shard state is left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan does not partition this layer's row tiles.
-    pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) -> Result<(), BackendError> {
-        match plan {
-            None => {
-                self.shard = None;
-                Ok(())
-            }
-            Some(plan) => {
-                self.shard = Some(self.build_shard_exec(&plan)?);
-                Ok(())
-            }
-        }
-    }
-
-    /// Resolves each shard's backend and cuts its weight artifacts.
-    fn build_shard_exec(&self, plan: &ShardPlan) -> Result<ShardExec, BackendError> {
-        assert_eq!(
-            plan.num_items(),
-            self.desc.plan.num_row_tiles,
-            "shard plan vs row tiles"
-        );
-        let shards = plan
-            .iter()
-            .enumerate()
-            .map(|(i, tiles)| {
-                let backend = match plan.backend_of(i) {
-                    Some(kind) => {
-                        let b = backend_instance(kind);
-                        if !b.supports(&self.profile) {
-                            return Err(BackendError::Unsupported(kind));
-                        }
-                        b
-                    }
-                    None => self.active.clone(),
-                };
-                let weights = if backend.integer() {
-                    Vec::new()
-                } else {
+    /// Cuts each shard's weight artifacts for the resolved backend.
+    fn build_shard_exec(&self, plan: ShardPlan) -> ShardExec {
+        let weights = if self.active.integer() {
+            Vec::new()
+        } else {
+            plan.iter()
+                .map(|tiles| {
                     self.pipeline
                         .shard_grouped_weights(&self.grouped_weights, tiles)
-                };
-                Ok(ShardBackend { backend, weights })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardExec {
-            plan: plan.clone(),
-            shards,
-        })
+                })
+                .collect()
+        };
+        ShardExec { plan, weights }
     }
 
     /// The effective row-tile shard count (1 when sharding is off or the
     /// layer has a single row tile).
     pub fn row_tile_shards(&self) -> usize {
         self.shard.as_ref().map_or(1, |s| s.plan.num_shards())
-    }
-
-    /// The installed row-tile shard plan, if sharding is enabled.
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard.as_ref().map(|se| &se.plan)
     }
 
     /// The frozen layer description.
@@ -452,11 +347,11 @@ impl PreparedConv {
     }
 
     /// Row-tile sharded front-end: every shard computes its groups'
-    /// partial sums on its assigned backend as an executor task (shard
+    /// partial sums on the resolved backend as an executor task (shard
     /// scratch from the executing worker's arena) and scatters them —
     /// exact copies, never re-summed — straight into its pre-split blocks
     /// of the full per-split tensors, so the subsequent reduce runs in the
-    /// canonical unsharded operation order regardless of placement.
+    /// canonical unsharded operation order.
     fn sharded_psums(&self, se: &ShardExec, a_pad: &Tensor, psums: &mut [Tensor]) {
         let p = &self.desc.plan;
         let int_weights = self.int_weights.as_deref();
@@ -483,8 +378,9 @@ impl PreparedConv {
             }
             debug_assert!(rest.is_empty(), "shard blocks must tile the psum tensor");
         }
+        let backend = self.active.as_ref();
         exec::scope(|sc| {
-            for ((tiles, sb), mut task_dst) in se.plan.iter().zip(se.shards.iter()).zip(dst) {
+            for (sh, (tiles, mut task_dst)) in se.plan.iter().zip(dst).enumerate() {
                 let pipeline = &self.pipeline;
                 let desc = &self.desc;
                 sc.spawn(move || {
@@ -494,10 +390,10 @@ impl PreparedConv {
                     let mut sps: Vec<Tensor> = (0..p.num_splits)
                         .map(|_| arena::take_tensor(&[b, len * p.out_ch, oh, ow]))
                         .collect();
-                    if sb.backend.integer() {
-                        let iw = int_weights.expect("integer shard placed without panels");
+                    if backend.integer() {
+                        let iw = int_weights.expect("integer backend resolved without panels");
                         pipeline.grouped_psums_int_into(
-                            sb.backend.as_ref(),
+                            backend,
                             &a_shard,
                             iw,
                             tiles.clone(),
@@ -513,9 +409,9 @@ impl PreparedConv {
                         );
                         let mut col = arena::take_f32(s.col_rows() * s.col_cols());
                         pipeline.grouped_psums_shard_into(
-                            sb.backend.as_ref(),
+                            backend,
                             &a_shard,
-                            &sb.weights,
+                            &se.weights[sh],
                             tiles.clone(),
                             &mut sps,
                             &mut col,
@@ -613,7 +509,7 @@ mod tests {
         scalar.set_backends(BackendSet::scalar()).unwrap();
         assert_eq!(scalar.infer(&x), want, "scalar backend");
         let mut int_forced = PreparedConv::new(desc.clone());
-        int_forced.set_psum_kernel(PsumKernel::Int).unwrap();
+        int_forced.set_backends(BackendSet::int()).unwrap();
         assert_eq!(int_forced.infer(&x), want, "integer backend");
         let mut sharded = PreparedConv::new(desc);
         sharded.set_row_tile_shards(Some(2));
@@ -681,27 +577,28 @@ mod tests {
         }
     }
 
-    /// Backend selection is pure speed: every backend (and the legacy
-    /// kernel-family selectors) must equal the forced-f32 path
-    /// bit-for-bit, sharded or not, with and without psum quantization.
+    /// Backend selection is pure speed: every backend chain must equal the
+    /// forced-f32 path bit-for-bit, sharded or not, with and without psum
+    /// quantization, and re-selecting the chain must rebuild shard state
+    /// without drift.
     #[test]
     fn integer_kernel_is_bit_exact_and_selectable() {
         for psq in [false, true] {
             let desc = small_desc(psq);
             let mut f32_forced = PreparedConv::new(desc.clone());
-            f32_forced.set_psum_kernel(PsumKernel::F32).unwrap();
+            f32_forced.set_backends(BackendSet::f32()).unwrap();
             assert!(!f32_forced.integer_kernel_active());
             assert_eq!(f32_forced.active_backend(), BackendKind::SimdF32);
             let mut int_forced = PreparedConv::new(desc.clone());
-            int_forced.set_psum_kernel(PsumKernel::Int).unwrap();
+            int_forced.set_backends(BackendSet::int()).unwrap();
             assert!(int_forced.integer_kernel_active());
             assert_eq!(int_forced.active_backend(), BackendKind::IntPanels);
             let mut scalar = PreparedConv::new(desc.clone());
             scalar.set_backends(BackendSet::scalar()).unwrap();
             assert_eq!(scalar.active_backend(), BackendKind::Scalar);
             let mut auto = PreparedConv::new(desc.clone());
-            auto.set_psum_kernel(PsumKernel::Auto).unwrap();
-            assert_eq!(auto.psum_kernel(), PsumKernel::Auto);
+            auto.set_backends(BackendSet::auto()).unwrap();
+            assert_eq!(auto.backends(), &BackendSet::auto());
             assert!(auto.integer_kernel_active(), "clean slices must qualify");
             let mut rng = CqRng::new(17);
             let x = rng.normal_tensor(&[2, 7, 6, 6], 1.0).map(|v| v.max(0.0));
@@ -711,47 +608,14 @@ mod tests {
             assert_eq!(auto.infer(&x), want, "psq={psq}");
             // Sharded integer path.
             let mut sharded = PreparedConv::new(desc);
-            sharded.set_psum_kernel(PsumKernel::Int).unwrap();
+            sharded.set_backends(BackendSet::int()).unwrap();
             sharded.set_row_tile_shards(Some(2));
             assert_eq!(sharded.infer(&x), want, "sharded int psq={psq}");
             assert_eq!(sharded.infer(&x), want, "warm-arena sharded int psq={psq}");
-        }
-    }
-
-    /// A placement-aware shard plan running every shard on a *different*
-    /// backend must rejoin bit-exactly, and re-selecting the chain must
-    /// rebuild shard state without drift.
-    #[test]
-    fn mixed_backend_placement_is_bit_exact() {
-        for psq in [false, true] {
-            let desc = small_desc(psq);
-            let tiles = desc.plan.num_row_tiles;
-            assert_eq!(tiles, 3, "tiny config must have 3 row tiles");
-            let baseline = PreparedConv::new(desc.clone());
-            let mut rng = CqRng::new(47);
-            let x = rng.normal_tensor(&[2, 7, 6, 6], 1.0).map(|v| v.max(0.0));
-            let want = baseline.infer(&x);
-            let mut placed = PreparedConv::new(desc.clone());
-            let plan = ShardPlan::split(tiles, 3).with_placement(vec![
-                BackendKind::IntPanels,
-                BackendKind::Scalar,
-                BackendKind::SimdF32,
-            ]);
-            placed.set_shard_plan(Some(plan.clone())).unwrap();
-            assert_eq!(placed.shard_plan(), Some(&plan));
-            assert_eq!(placed.infer(&x), want, "mixed placement psq={psq}");
-            assert_eq!(placed.infer(&x), want, "warm-arena mixed placement");
-            // Chain re-selection rebuilds shard artifacts consistently.
-            placed.set_backends(BackendSet::f32()).unwrap();
-            assert_eq!(placed.infer(&x), want, "rebuilt shards diverged");
-            // A trivial placed plan pins the whole sweep onto one backend.
-            let mut pinned = PreparedConv::new(desc);
-            pinned
-                .set_shard_plan(Some(
-                    ShardPlan::split(tiles, 1).with_placement(vec![BackendKind::Scalar]),
-                ))
-                .unwrap();
-            assert_eq!(pinned.infer(&x), want, "pinned scalar shard psq={psq}");
+            // Chain re-selection rebuilds the shard artifacts.
+            sharded.set_backends(BackendSet::scalar()).unwrap();
+            assert_eq!(sharded.row_tile_shards(), 2);
+            assert_eq!(sharded.infer(&x), want, "rebuilt scalar shards psq={psq}");
         }
     }
 
@@ -762,40 +626,33 @@ mod tests {
     fn variation_falls_back_to_f32() {
         let desc = small_desc(true);
         let mut auto = PreparedConv::with_slice_transform(desc.clone(), |_, s| s.scale(1.37));
-        auto.set_psum_kernel(PsumKernel::Auto).unwrap();
+        auto.set_backends(BackendSet::auto()).unwrap();
         assert!(
             !auto.integer_kernel_active(),
             "off-integer slices must disqualify the integer kernel"
         );
         let mut f32_forced = PreparedConv::with_slice_transform(desc, |_, s| s.scale(1.37));
-        f32_forced.set_psum_kernel(PsumKernel::F32).unwrap();
+        f32_forced.set_backends(BackendSet::f32()).unwrap();
         let mut rng = CqRng::new(19);
         let x = rng.normal_tensor(&[1, 7, 6, 6], 1.0).map(|v| v.max(0.0));
         assert_eq!(auto.infer(&x), f32_forced.infer(&x));
     }
 
     /// Forcing the integer backend on variation-perturbed slices is a
-    /// recoverable error (the PR 5 `ConfigError` convention), and an
-    /// integer placement on such a layer is rejected the same way —
-    /// leaving the previous configuration intact either way.
+    /// recoverable error (the `ConfigError` convention) that leaves the
+    /// previous configuration intact.
     #[test]
     fn ineligible_backend_selection_is_an_error() {
         let mut prepared =
             PreparedConv::with_slice_transform(small_desc(false), |_, s| s.scale(1.37));
-        prepared.set_psum_kernel(PsumKernel::F32).unwrap();
-        let err = prepared.set_psum_kernel(PsumKernel::Int).unwrap_err();
+        prepared.set_backends(BackendSet::f32()).unwrap();
+        prepared.set_row_tile_shards(Some(2));
+        let err = prepared.set_backends(BackendSet::int()).unwrap_err();
         assert_eq!(err, BackendError::NoBackend(vec![BackendKind::IntPanels]));
         assert!(err.to_string().contains("not integer-eligible"));
-        assert_eq!(prepared.psum_kernel(), PsumKernel::F32, "config clobbered");
-        let tiles = prepared.desc().plan.num_row_tiles;
-        let err = prepared
-            .set_shard_plan(Some(
-                ShardPlan::split(tiles, 2)
-                    .with_placement(vec![BackendKind::IntPanels, BackendKind::SimdF32]),
-            ))
-            .unwrap_err();
-        assert_eq!(err, BackendError::Unsupported(BackendKind::IntPanels));
-        assert_eq!(prepared.row_tile_shards(), 1, "shard state clobbered");
+        assert_eq!(prepared.backends(), &BackendSet::f32(), "config clobbered");
+        assert_eq!(prepared.active_backend(), BackendKind::SimdF32);
+        assert_eq!(prepared.row_tile_shards(), 2, "shard state clobbered");
     }
 
     #[test]

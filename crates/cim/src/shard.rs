@@ -14,18 +14,14 @@
 //! prepared conv executor uses it over row tiles and the `cq-serve` shard
 //! pool uses it over the rows of an oversized sweep.
 
-use cq_tensor::BackendKind;
 use std::ops::Range;
 
 /// A partition of `0..num_items` into contiguous, disjoint, covering
-/// shards (each non-empty), optionally **placement-aware**: each shard
-/// may carry the [`BackendKind`] it should execute on (see
-/// [`ShardPlan::with_placement`]).
+/// shards (each non-empty).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     num_items: usize,
     shards: Vec<Range<usize>>,
-    placement: Option<Vec<BackendKind>>,
 }
 
 impl ShardPlan {
@@ -50,36 +46,7 @@ impl ShardPlan {
             start += len;
         }
         debug_assert_eq!(start, num_items);
-        Self {
-            num_items,
-            shards,
-            placement: None,
-        }
-    }
-
-    /// Assigns each shard an execution backend, in shard order. The
-    /// consumer (e.g. `PreparedConv::set_shard_plan`) validates that every
-    /// assigned backend actually supports the layer; unplaced plans run
-    /// every shard on the layer's resolved backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placement.len() != self.num_shards()`.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Vec<BackendKind>) -> Self {
-        assert_eq!(placement.len(), self.shards.len(), "one backend per shard");
-        self.placement = Some(placement);
-        self
-    }
-
-    /// The per-shard backend assignments, if placed.
-    pub fn placement(&self) -> Option<&[BackendKind]> {
-        self.placement.as_deref()
-    }
-
-    /// Shard `i`'s backend assignment (`None` when the plan is unplaced).
-    pub fn backend_of(&self, i: usize) -> Option<BackendKind> {
-        self.placement.as_ref().map(|p| p[i])
+        Self { num_items, shards }
     }
 
     /// Splits `num_items` into the fewest shards of at most `max_shard`
@@ -152,24 +119,5 @@ mod tests {
     #[should_panic(expected = "nothing to shard")]
     fn empty_split_rejected() {
         let _ = ShardPlan::split(0, 1);
-    }
-
-    #[test]
-    fn placement_attaches_per_shard_backends() {
-        let p = ShardPlan::split(5, 2);
-        assert_eq!(p.placement(), None);
-        assert_eq!(p.backend_of(0), None);
-        let placed = p
-            .clone()
-            .with_placement(vec![BackendKind::IntPanels, BackendKind::Scalar]);
-        assert_eq!(placed.backend_of(0), Some(BackendKind::IntPanels));
-        assert_eq!(placed.backend_of(1), Some(BackendKind::Scalar));
-        assert_ne!(p, placed, "placement participates in plan equality");
-    }
-
-    #[test]
-    #[should_panic(expected = "one backend per shard")]
-    fn placement_length_mismatch_rejected() {
-        let _ = ShardPlan::split(5, 2).with_placement(vec![BackendKind::Scalar]);
     }
 }

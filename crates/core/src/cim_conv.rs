@@ -37,8 +37,7 @@ use std::collections::HashMap;
 
 use cq_cim::{
     dequant_mults, Adc, AdcDigitizer, BackendError, BackendKind, BackendSet, CimConfig,
-    HybridDigitizer, IdealDigitizer, PreparedConv, PsumKernel, PsumPipeline, QuantizedConv,
-    ShardPlan, TilingPlan,
+    HybridDigitizer, IdealDigitizer, PreparedConv, PsumPipeline, QuantizedConv, TilingPlan,
 };
 use cq_nn::{
     accumulate_bias_grad, add_channel_bias, kaiming_conv_init, Layer, Mode, Param, ParamKind,
@@ -68,30 +67,6 @@ pub struct VariationCfg {
     pub sigma: f32,
     /// Noise seed (deterministic per layer).
     pub seed: u64,
-}
-
-/// Frozen serving state: the prepared executor. Present only between
-/// [`CimConv2d::freeze`] and the next invalidating mutation (training
-/// forward, stage toggle, scale reset, variation change, checkpoint
-/// restore).
-///
-/// Per-call intermediates come from the executing worker's
-/// [`cq_tensor::arena`], so concurrent calls from the shared eval path
-/// never contend on buffers and steady-state serving allocates only
-/// outputs — without this struct carrying a scratch pool per layer.
-struct FrozenConv {
-    prepared: PreparedConv,
-}
-
-impl FrozenConv {
-    fn new(prepared: PreparedConv) -> Self {
-        Self { prepared }
-    }
-
-    /// Serves one call (concurrency-safe).
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.prepared.infer(x)
-    }
 }
 
 struct FwdCache {
@@ -138,7 +113,13 @@ pub struct CimConv2d {
     cache: Option<FwdCache>,
     fp_cache: Option<Tensor>,
     p_layout_cache: HashMap<usize, Vec<GroupLayout>>,
-    frozen: Option<FrozenConv>,
+    /// Frozen serving state: the prepared executor behind
+    /// [`Layer::forward_shared`]. Present only between
+    /// [`CimConv2d::freeze`] and the next invalidating mutation (training
+    /// forward, stage toggle, scale reset, variation change, checkpoint
+    /// restore). Per-call intermediates come from the executing worker's
+    /// [`cq_tensor::arena`], so concurrent shared calls never contend.
+    frozen: Option<PreparedConv>,
     /// Row-tile shard count applied to the frozen executor (kept across
     /// re-freezes). `None` = unsharded.
     row_tile_shards: Option<usize>,
@@ -625,9 +606,10 @@ impl CimConv2d {
     /// Freezes the layer for serving: quantizes the weights, splits them
     /// into per-split grouped bit-plane tensors (baking in any configured
     /// device variation), and builds the prepared executor **once**.
-    /// Subsequent `Mode::Eval` forwards reuse it — bit-identical to the
-    /// unfrozen path — with per-call scratch buffers instead of redoing
-    /// the weight-side work every call.
+    /// [`Layer::forward_shared`] serves through it — bit-identical to
+    /// `forward(x, Mode::Eval)` — with per-call scratch buffers instead of
+    /// redoing the weight-side work every call. `forward` itself always
+    /// runs the per-call path.
     ///
     /// The frozen state invalidates automatically on anything that could
     /// change it: a `Mode::Train` forward, stage toggles, scale resets,
@@ -660,11 +642,11 @@ impl CimConv2d {
                 "binary-weight layer must be IntPanels-eligible"
             );
         }
-        prepared.set_row_tile_shards(self.row_tile_shards);
         prepared
             .set_backends(self.backends.clone())
             .expect("configured backend chain cannot execute the frozen layer");
-        self.frozen = Some(FrozenConv::new(prepared));
+        prepared.set_row_tile_shards(self.row_tile_shards);
+        self.frozen = Some(prepared);
     }
 
     /// Sets the row-tile shard count of the frozen executor (see
@@ -679,26 +661,7 @@ impl CimConv2d {
         assert!(shards != Some(0), "shard count must be positive");
         self.row_tile_shards = shards;
         if let Some(fr) = &mut self.frozen {
-            fr.prepared.set_row_tile_shards(shards);
-        }
-    }
-
-    /// Installs an explicit — optionally placement-aware — row-tile shard
-    /// plan on the **current** frozen executor (see
-    /// [`PreparedConv::set_shard_plan`]); a no-op when unfrozen, and not
-    /// persisted across re-freezes (plans are geometry-specific; use
-    /// [`set_row_tile_shards`](CimConv2d::set_row_tile_shards) for a
-    /// persistent count).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Unsupported`] when a placed backend's capability
-    /// probe rejects this layer; the previous shard state is left
-    /// untouched.
-    pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) -> Result<(), BackendError> {
-        match &mut self.frozen {
-            Some(fr) => fr.prepared.set_shard_plan(plan),
-            None => Ok(()),
+            fr.set_row_tile_shards(shards);
         }
     }
 
@@ -715,7 +678,7 @@ impl CimConv2d {
     /// variation); the previous configuration is left untouched.
     pub fn set_backends(&mut self, backends: BackendSet) -> Result<(), BackendError> {
         if let Some(fr) = &mut self.frozen {
-            fr.prepared.set_backends(backends.clone())?;
+            fr.set_backends(backends.clone())?;
         }
         self.backends = backends;
         Ok(())
@@ -726,26 +689,9 @@ impl CimConv2d {
         &self.backends
     }
 
-    /// Compat selector for the legacy kernel-family enum: equivalent to
-    /// `set_backends(kernel.into())`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::NoBackend`] on [`PsumKernel::Int`] when the layer
-    /// is frozen and its slices are not integer-eligible (e.g. under
-    /// device variation).
-    pub fn set_psum_kernel(&mut self, kernel: PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(kernel.into())
-    }
-
-    /// The legacy [`PsumKernel`] view of the configured chain.
-    pub fn psum_kernel(&self) -> PsumKernel {
-        self.backends.as_psum_kernel()
-    }
-
     /// The backend the frozen executor resolved (`None` when unfrozen).
     pub fn active_backend(&self) -> Option<BackendKind> {
-        self.frozen.as_ref().map(|fr| fr.prepared.active_backend())
+        self.frozen.as_ref().map(|fr| fr.active_backend())
     }
 
     /// Whether the frozen executor currently dispatches to the integer
@@ -755,11 +701,11 @@ impl CimConv2d {
     pub fn integer_kernel_active(&self) -> bool {
         self.frozen
             .as_ref()
-            .is_some_and(|fr| fr.prepared.integer_kernel_active())
+            .is_some_and(|fr| fr.integer_kernel_active())
     }
 
-    /// Drops the frozen serving state (the next eval forward runs the full
-    /// per-call path again).
+    /// Drops the frozen serving state ([`Layer::forward_shared`] returns
+    /// `None` until the next [`freeze`](CimConv2d::freeze)).
     pub fn unfreeze(&mut self) {
         self.frozen = None;
     }
@@ -823,17 +769,6 @@ impl CimConv2d {
         if mode == Mode::Train {
             // Training updates weights and scales; prepared state is stale.
             self.frozen = None;
-        } else if !self.psum_capture {
-            // Prepared serving path: all weight-side work was done at
-            // freeze time; only activation quantization, the grouped conv
-            // sweep, and the shared reduce run per call (bit-identical to
-            // the full path below).
-            if let Some(fr) = &self.frozen {
-                let y = fr.infer(x);
-                self.fp_cache = None;
-                self.cache = None;
-                return y;
-            }
         }
         let p = self.plan.clone();
         if !self.a_quant.is_initialized() {
@@ -1379,13 +1314,17 @@ mod tests {
             layer.integer_kernel_active() || layer.active_backend() != Some(BackendKind::IntPanels),
             "binary layer rejected by the integer backend"
         );
-        assert_eq!(layer.forward(&x, Mode::Eval), y, "frozen == unfrozen");
+        assert_eq!(
+            layer.forward_shared(&x),
+            Some(y.clone()),
+            "frozen == unfrozen"
+        );
         layer.set_backends(BackendSet::int()).unwrap();
         assert!(
             layer.integer_kernel_active(),
             "forced IntPanels must engage"
         );
-        assert_eq!(layer.forward(&x, Mode::Eval), y, "int backend bit-exact");
+        assert_eq!(layer.forward_shared(&x), Some(y), "int backend bit-exact");
         // QAT smoke through the sign STE.
         layer.set_backends(BackendSet::standard()).unwrap();
         let y = layer.forward(&x, Mode::Train);

@@ -106,6 +106,15 @@ impl Layer for CimLinear {
         y4.reshape(&[b, self.out_features])
     }
 
+    fn forward_shared(&self, x: &Tensor) -> Option<Tensor> {
+        assert_eq!(x.rank(), 2, "CimLinear input must be [B, IN]");
+        assert_eq!(x.dim(1), self.in_features, "input features");
+        let b = x.dim(0);
+        let x4 = x.reshape(&[b, self.in_features, 1, 1]);
+        let y4 = self.conv.forward_shared(&x4)?;
+        Some(y4.reshape(&[b, self.out_features]))
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert_eq!(grad_out.rank(), 2, "CimLinear grad must be [B, OUT]");
         let b = grad_out.dim(0);
@@ -159,6 +168,20 @@ mod tests {
         let x = relu_batch(2, 3, 12);
         let y = lin.forward(&x, Mode::Eval);
         assert_eq!(y.shape(), &[3, 5]);
+    }
+
+    /// A prepared `CimLinear` serves through the shared path, bit-equal
+    /// to the per-call eval forward at batch 1 and at a pipelined batch.
+    #[test]
+    fn prepared_linear_matches_eval_forward_bitwise() {
+        let mut lin = make(11);
+        let _ = lin.forward(&relu_batch(12, 4, 12), Mode::Eval); // init scales
+        let xs = [relu_batch(13, 1, 12), relu_batch(14, 3, 12)];
+        let want: Vec<Tensor> = xs.iter().map(|x| lin.forward(x, Mode::Eval)).collect();
+        let pm = crate::PreparedCimModel::new(Box::new(lin));
+        for (x, w) in xs.iter().zip(&want) {
+            assert_eq!(&pm.infer(x), w, "batch {}", x.dim(0));
+        }
     }
 
     #[test]

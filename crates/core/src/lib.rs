@@ -14,8 +14,9 @@
 //!   the BWMA / hybrid-ADC extensions.
 //! * [`CimConvFactory`] / [`build_cim_resnet`] — model construction.
 //! * [`PreparedCimModel`] — the frozen, batched serving engine: weights
-//!   quantized/bit-split/grouped once at load, micro-batch coalescing,
-//!   bit-identical to the per-call path.
+//!   quantized/bit-split/grouped once at load, served through shared
+//!   state (`&self`) with micro-batch coalescing, bit-identical to the
+//!   per-call path.
 //! * Whole-model surgery: stage toggles for two-stage QAT, PTQ
 //!   calibration, device-variation injection, dequantization-overhead
 //!   accounting.
@@ -52,8 +53,7 @@ pub use cim_linear::CimLinear;
 // re-exported here because it is the framework's central abstraction).
 pub use cq_cim::{
     backend_instance, AdcDigitizer, BackendError, BackendKind, BackendSet, ColumnDigitizer,
-    ConvProfile, ExecBackend, IdealDigitizer, PerturbedDigitizer, PsumKernel, PsumPipeline,
-    ShardPlan,
+    ConvProfile, ExecBackend, IdealDigitizer, PerturbedDigitizer, PsumPipeline, ShardPlan,
 };
 pub use model::{
     accelerator_report, build_cim_resnet, count_cim_convs, for_each_cim_conv, load_cim_checkpoint,

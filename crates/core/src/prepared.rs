@@ -9,6 +9,12 @@
 //! (`prepared_inference` integration tests pin the full psq × granularity
 //! × digitizer matrix).
 //!
+//! There is **one** inference path: every call runs the
+//! [`Layer::forward_shared`] chain through shared state (`&self`), so a
+//! prepared model is a pure function of its input and any number of
+//! threads may serve from it at once — the `cq-serve` registry runs every
+//! sweep and every batch-segment shard under a read lock.
+//!
 //! [`PreparedCimModel::infer_batch`] additionally **coalesces micro
 //! batches**: many small requests are concatenated into one batch and
 //! swept through the network in a single `batch × row-tile` parallel pass,
@@ -26,8 +32,8 @@
 //! depth and pool width — pipelining reschedules work, never arithmetic.
 
 use crate::{for_each_cim_conv, load_cim_checkpoint};
-use cq_cim::{BackendError, BackendKind, BackendSet, PsumKernel};
-use cq_nn::{Layer, Mode};
+use cq_cim::{BackendError, BackendKind, BackendSet};
+use cq_nn::Layer;
 use cq_tensor::{exec, Tensor};
 use std::ops::Range;
 use std::path::Path;
@@ -127,38 +133,25 @@ impl PreparedCimModel {
         self.pipeline_depth
     }
 
-    /// Serves one already-batched tensor `[B, C, H, W]`, cross-layer
-    /// pipelined per [`set_pipeline_depth`](Self::set_pipeline_depth).
-    pub fn infer(&mut self, images: &Tensor) -> Tensor {
-        if self.pipeline_depth > 1 && images.dim(0) > 1 {
-            self.infer_shared(images)
-        } else {
-            self.model.forward(images, Mode::Eval)
-        }
-    }
-
-    /// Serves one batch through **shared state** (`&self`): several
-    /// threads may call this concurrently on one prepared model — the
-    /// execution path behind batch-segment sharding, where serve workers
-    /// cooperate on disjoint row segments of a single oversized sweep.
-    /// Multi-row batches are cross-layer pipelined per
-    /// [`set_pipeline_depth`](Self::set_pipeline_depth). Bit-identical to
-    /// [`PreparedCimModel::infer`] (pinned by tests); note it does **not**
-    /// apply `max_batch` chunking — callers shard rows themselves.
+    /// Serves one already-batched tensor `[B, C, H, W]` through shared
+    /// state, cross-layer pipelined per
+    /// [`set_pipeline_depth`](Self::set_pipeline_depth). Several threads
+    /// may call this concurrently on one prepared model — the execution
+    /// path behind batch-segment sharding, where serve workers cooperate
+    /// on disjoint row segments of a single oversized sweep. Note it does
+    /// **not** apply `max_batch` chunking (see
+    /// [`infer_batch`](Self::infer_batch)).
     ///
     /// # Panics
     ///
     /// Panics if any layer cannot serve through shared state (cannot
-    /// happen for models built by this workspace: every CIM conv is
+    /// happen for models built by this workspace: every CIM layer is
     /// frozen at preparation and every other layer is stateless in eval).
-    pub fn infer_shared(&self, images: &Tensor) -> Tensor {
+    pub fn infer(&self, images: &Tensor) -> Tensor {
         let b = images.dim(0);
         let depth = self.pipeline_depth.min(b).max(1);
-        if depth <= 1 {
-            return self
-                .model
-                .forward_shared(images)
-                .expect("prepared model has a layer without shared-eval support");
+        if depth == 1 {
+            return self.forward(images);
         }
         // Contiguous waves; wave w+1's early layers overlap wave w's late
         // layers on the pool. Rejoined by concatenation in row order, so
@@ -171,15 +164,7 @@ impl PreparedCimModel {
                 if lo >= hi {
                     continue;
                 }
-                let model = self.model.as_ref();
-                sc.spawn(move || {
-                    let wave = images.slice_outer(lo, hi);
-                    *out = Some(
-                        model
-                            .forward_shared(&wave)
-                            .expect("prepared model has a layer without shared-eval support"),
-                    );
-                });
+                sc.spawn(move || *out = Some(self.forward(&images.slice_outer(lo, hi))));
             }
         });
         let parts: Vec<Tensor> = outs.into_iter().flatten().collect();
@@ -188,6 +173,13 @@ impl PreparedCimModel {
         } else {
             Tensor::concat_outer(&parts.iter().collect::<Vec<_>>())
         }
+    }
+
+    /// One unpipelined shared-state forward.
+    fn forward(&self, x: &Tensor) -> Tensor {
+        self.model
+            .forward_shared(x)
+            .expect("prepared model has a layer without shared-eval support")
     }
 
     /// Sets the row-tile shard count of every frozen CIM convolution (see
@@ -224,16 +216,6 @@ impl PreparedCimModel {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// Compat selector for the legacy kernel-family enum: equivalent to
-    /// `set_backends(kernel.into())`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedCimModel::set_backends`].
-    pub fn set_psum_kernel(&mut self, kernel: PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(kernel.into())
     }
 
     /// The quantization-scheme name of the model's CIM layers: the first
@@ -309,7 +291,7 @@ impl PreparedCimModel {
     /// # Panics
     ///
     /// Panics if requests disagree on the non-batch dimensions.
-    pub fn infer_batch(&mut self, requests: &[Tensor]) -> Vec<Tensor> {
+    pub fn infer_batch(&self, requests: &[Tensor]) -> Vec<Tensor> {
         let cap = self.max_batch.unwrap_or(usize::MAX);
         // One (request, row-range) segment per sweep contribution; an
         // oversized request spans several sweeps.
@@ -352,7 +334,7 @@ impl PreparedCimModel {
     /// Runs one coalesced forward over the `sweep` segments and appends
     /// each segment's output slice to its request's parts; drains `sweep`.
     fn run_sweep(
-        &mut self,
+        &self,
         requests: &[Tensor],
         sweep: &mut Vec<(usize, Range<usize>)>,
         parts: &mut [Vec<Tensor>],
@@ -411,7 +393,7 @@ mod tests {
     use super::*;
     use crate::{build_cim_resnet, save_cim_checkpoint, QuantScheme};
     use cq_cim::CimConfig;
-    use cq_nn::{ResNet, ResNetSpec};
+    use cq_nn::{Mode, ResNet, ResNetSpec};
     use cq_tensor::CqRng;
 
     /// A small CIM ResNet with all lazy scales initialized.
@@ -432,7 +414,7 @@ mod tests {
         let mut net = warmed_net(1);
         let x = CqRng::new(2).normal_tensor(&[3, 3, 12, 12], 1.0);
         let want = net.forward(&x, Mode::Eval);
-        let mut pm = PreparedCimModel::new(Box::new(net));
+        let pm = PreparedCimModel::new(Box::new(net));
         assert_eq!(pm.infer(&x), want, "prepared forward diverged");
         assert_eq!(pm.infer(&x), want, "second prepared forward diverged");
     }
@@ -500,29 +482,24 @@ mod tests {
                     pm.set_pipeline_depth(depth);
                     assert_eq!(pm.pipeline_depth(), depth);
                     assert_eq!(pm.infer(&x), want, "width={width} depth={depth}");
-                    assert_eq!(
-                        pm.infer_shared(&x),
-                        want,
-                        "shared width={width} depth={depth}"
-                    );
                 }
             });
         }
     }
 
-    /// The shared (`&self`) path must equal the exclusive path bit-for-bit,
-    /// including under concurrent callers.
+    /// The shared (`&self`) path must equal the exclusive per-call
+    /// forward bit-for-bit, including under concurrent callers.
     #[test]
     fn shared_inference_matches_exclusive_path() {
         let mut net = warmed_net(11);
         let x = CqRng::new(12).normal_tensor(&[3, 3, 12, 12], 1.0);
         let want = net.forward(&x, Mode::Eval);
-        let mut pm = PreparedCimModel::new(Box::new(net));
+        let pm = PreparedCimModel::new(Box::new(net));
         assert_eq!(pm.infer(&x), want);
         let pm = &pm;
         std::thread::scope(|sc| {
             for _ in 0..3 {
-                sc.spawn(|| assert_eq!(pm.infer_shared(&x), want, "shared path diverged"));
+                sc.spawn(|| assert_eq!(pm.infer(&x), want, "shared path diverged"));
             }
         });
     }
@@ -543,7 +520,7 @@ mod tests {
             &QuantScheme::ours(),
             999,
         );
-        let mut pm = PreparedCimModel::restore(Box::new(fresh), &path).unwrap();
+        let pm = PreparedCimModel::restore(Box::new(fresh), &path).unwrap();
         assert_eq!(pm.infer(&x), want, "restored prepared model diverged");
         std::fs::remove_file(&path).ok();
     }

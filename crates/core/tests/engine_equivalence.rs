@@ -7,7 +7,7 @@
 //! partial-sum quantization — on **all three execution backends**
 //! (`ScalarRef` loop-nest oracle, `SimdF32`, `IntPanels`).
 
-use cq_cim::{BackendKind, BackendSet, CimConfig, CrossbarLayer, PreparedConv, PsumKernel};
+use cq_cim::{BackendKind, BackendSet, CimConfig, CrossbarLayer, PreparedConv};
 use cq_core::CimConv2d;
 use cq_nn::{Layer, Mode};
 use cq_quant::Granularity;
@@ -58,7 +58,7 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
             // succeed and match the f32 oracle bit-for-bit, and both fast
             // backends must match the scalar loop-nest reference.
             let mut prepared = PreparedConv::new(layer.to_quantized_conv());
-            prepared.set_psum_kernel(PsumKernel::F32).unwrap();
+            prepared.set_backends(BackendSet::f32()).unwrap();
             assert!(!prepared.integer_kernel_active());
             assert_eq!(prepared.active_backend(), BackendKind::SimdF32);
             let served_f32 = prepared.infer(&x);
@@ -66,7 +66,7 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
                 fast, served_f32,
                 "PreparedConv f32 mismatch at w={w_gran} p={p_gran} psq={psq}"
             );
-            prepared.set_psum_kernel(PsumKernel::Int).unwrap();
+            prepared.set_backends(BackendSet::int()).unwrap();
             assert!(prepared.integer_kernel_active());
             assert_eq!(prepared.active_backend(), BackendKind::IntPanels);
             let served_int = prepared.infer(&x);
@@ -77,8 +77,6 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
             prepared.set_backends(BackendSet::scalar()).unwrap();
             assert!(!prepared.integer_kernel_active());
             assert_eq!(prepared.active_backend(), BackendKind::Scalar);
-            // The compat view reports the scalar chain as the f32 family.
-            assert_eq!(prepared.psum_kernel(), PsumKernel::F32);
             let served_scalar = prepared.infer(&x);
             assert_eq!(
                 fast, served_scalar,
@@ -105,8 +103,12 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
                     kind == BackendKind::IntPanels,
                     "integer-kernel compat flag disagrees with the active backend"
                 );
-                let frozen1 = layer.forward(&x, Mode::Eval);
-                let frozen2 = layer.forward(&x, Mode::Eval);
+                let frozen1 = layer
+                    .forward_shared(&x)
+                    .expect("frozen layer serves shared");
+                let frozen2 = layer
+                    .forward_shared(&x)
+                    .expect("frozen layer serves shared");
                 assert_eq!(
                     fast, frozen1,
                     "frozen forward mismatch at w={w_gran} p={p_gran} psq={psq} {kind:?}"
@@ -308,7 +310,9 @@ fn scheme_axis_bit_exact_across_engines_and_backends() {
             layer.set_backends(backends).unwrap();
             layer.freeze();
             assert_eq!(layer.active_backend(), Some(kind), "{name}: {kind:?}");
-            let frozen = layer.forward(&x, Mode::Eval);
+            let frozen = layer
+                .forward_shared(&x)
+                .expect("frozen layer serves shared");
             assert_eq!(fast, frozen, "{name}: frozen {kind:?} diverged");
         }
     }

@@ -60,8 +60,12 @@ fn check_cell(w_gran: Granularity, p_gran: Granularity, dig: Digitizer, seed: u6
     // baking) done once, then served twice to also check idempotence.
     layer.freeze();
     assert!(layer.is_frozen());
-    let got1 = layer.forward(&x, Mode::Eval);
-    let got2 = layer.forward(&x, Mode::Eval);
+    let got1 = layer
+        .forward_shared(&x)
+        .expect("frozen layer serves shared");
+    let got2 = layer
+        .forward_shared(&x)
+        .expect("frozen layer serves shared");
     assert_eq!(
         want, got1,
         "prepared mismatch at w={w_gran} p={p_gran} dig={dig:?}"
@@ -70,8 +74,10 @@ fn check_cell(w_gran: Granularity, p_gran: Granularity, dig: Digitizer, seed: u6
         got1, got2,
         "not idempotent at w={w_gran} p={p_gran} dig={dig:?}"
     );
-    // Unfreezing returns to the identical per-call result.
+    // Unfreezing leaves the identical per-call result and withdraws the
+    // shared path.
     layer.unfreeze();
+    assert_eq!(layer.forward_shared(&x), None);
     assert_eq!(want, layer.forward(&x, Mode::Eval));
 }
 
@@ -108,15 +114,18 @@ fn frozen_cell_output(
     let x = relu_input(seed + 1, &[2, 7, 6, 6]);
     let _ = layer.forward(&x, Mode::Eval);
     layer.freeze();
-    layer.forward(&x, Mode::Eval)
+    layer
+        .forward_shared(&x)
+        .expect("frozen layer serves shared")
 }
 
-/// The pooled executor must be bit-identical to spawn-per-call scoped
-/// threads (the pre-pool execution shape) over the full scheme matrix,
-/// at pool widths 1, 2, and the machine's parallelism.
+/// The pooled executor must be bit-identical to a width-1 pool (every
+/// task serialized through one worker and the helping caller) over the
+/// full scheme matrix, at pool widths 1, 2, and the machine's
+/// parallelism.
 #[test]
 fn pooled_executor_matches_spawn_per_call_across_widths() {
-    use cq_tensor::exec::{self, Backend, ExecPool};
+    use cq_tensor::exec::ExecPool;
     let mut cells = Vec::new();
     let mut seed = 900;
     for w_gran in Granularity::ALL {
@@ -132,15 +141,13 @@ fn pooled_executor_matches_spawn_per_call_across_widths() {
             }
         }
     }
-    // Reference: every scope spawns OS threads, as the kernels did before
-    // the persistent pool. (Backend choice never changes arithmetic, so
-    // flipping the global here is benign for concurrently running tests.)
-    exec::set_backend(Backend::SpawnPerCall);
-    let want: Vec<Tensor> = cells
-        .iter()
-        .map(|&(w, p, d, s)| frozen_cell_output(w, p, d, s))
-        .collect();
-    exec::set_backend(Backend::Pooled);
+    // Reference: a width-1 pool, the most serialized schedule.
+    let want: Vec<Tensor> = ExecPool::with_threads(1).install(|| {
+        cells
+            .iter()
+            .map(|&(w, p, d, s)| frozen_cell_output(w, p, d, s))
+            .collect()
+    });
     let ncpu = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -207,7 +214,7 @@ fn training_invalidates_frozen_state() {
     opt.step(&mut layer);
     let want = layer.forward(&x, Mode::Eval);
     layer.freeze();
-    assert_eq!(want, layer.forward(&x, Mode::Eval), "stale weights served");
+    assert_eq!(Some(want), layer.forward_shared(&x), "stale weights served");
 }
 
 /// Whole-model serving: two `infer_batch` calls on one `PreparedCimModel`

@@ -1,14 +1,13 @@
 //! Bit-exactness matrix for **sharded execution**: row-tile sharded
-//! inference (and the shared `&self` path behind batch-segment sharding)
-//! must equal the unsharded `PreparedCimModel::infer_batch` bit-for-bit
+//! inference (and the per-segment `PreparedCimModel::infer` behind
+//! batch-segment sharding) must equal the unsharded
+//! `PreparedCimModel::infer_batch` bit-for-bit
 //! across psq mode × granularity × digitizer × shard counts {1, 2, 7} —
 //! including a shard count larger than any layer's number of row tiles —
 //! on **every backend chain**: every cell runs the forced f32 oracle,
 //! the `auto` chain (integer i8/i32 panels where the frozen slices are
 //! integer-eligible, simd-f32 fallback under variation), and the scalar
-//! loop-nest reference. A mixed-placement test additionally pins one
-//! sweep whose row-tile shards execute on *different* backends and must
-//! still rejoin bit-exactly.
+//! loop-nest reference.
 //!
 //! Digitizer regimes map onto the pipeline as in `prepared_inference`:
 //! with psum quantization off the ideal (infinite-precision) converter
@@ -17,8 +16,8 @@
 
 use cq_cim::CimConfig;
 use cq_core::{
-    build_cim_resnet, for_each_cim_conv, set_psum_quant_enabled, set_variation, BackendKind,
-    BackendSet, PreparedCimModel, PsumKernel, QuantScheme, ShardPlan, VariationMode,
+    build_cim_resnet, set_psum_quant_enabled, set_variation, BackendSet, PreparedCimModel,
+    QuantScheme, VariationMode,
 };
 use cq_nn::{Layer, Mode, ResNetSpec};
 use cq_quant::Granularity;
@@ -64,7 +63,7 @@ fn check_cell(psq: bool, gran: Granularity, dig: Digitizer, seed: u64) {
     let mut pm = prepared_model(psq, gran, dig, seed);
     pm.set_max_batch(Some(3));
     // The forced f32 kernels are the oracle the whole cell pins against.
-    pm.set_psum_kernel(PsumKernel::F32).unwrap();
+    pm.set_backends(BackendSet::f32()).unwrap();
     let want = pm.infer_batch(&requests);
 
     for backends in [BackendSet::f32(), BackendSet::auto(), BackendSet::scalar()] {
@@ -77,8 +76,8 @@ fn check_cell(psq: bool, gran: Granularity, dig: Digitizer, seed: u64) {
         // off-integer). The forced chains never activate the panels.
         let (active, total) = pm.count_integer_kernels();
         assert!(total > 0, "{ctx}: no frozen convs counted");
-        let expect_active = match (backends.as_psum_kernel(), dig) {
-            (PsumKernel::Auto, Digitizer::Clean) => total,
+        let expect_active = match dig {
+            Digitizer::Clean if backends == BackendSet::auto() => total,
             _ => 0,
         };
         assert_eq!(
@@ -91,14 +90,10 @@ fn check_cell(psq: bool, gran: Granularity, dig: Digitizer, seed: u64) {
             pm.set_row_tile_shards(Some(shards));
             let got = pm.infer_batch(&requests);
             assert_eq!(got, want, "{ctx} shards={shards}: infer_batch diverged");
-            // The shared (`&self`) path — what serve workers run on their
+            // The unchunked `infer` — what serve workers run on their
             // batch-segment shards — under the same row-tile sharding.
             for (req, w) in requests.iter().zip(&want) {
-                assert_eq!(
-                    &pm.infer_shared(req),
-                    w,
-                    "{ctx} shards={shards}: infer_shared diverged"
-                );
+                assert_eq!(&pm.infer(req), w, "{ctx} shards={shards}: infer diverged");
             }
         }
         pm.set_row_tile_shards(None);
@@ -118,73 +113,6 @@ fn sharded_equivalence_full_matrix() {
             }
         }
     }
-}
-
-/// Placement-aware sharding: one sweep whose row-tile shards are pinned
-/// to *different* backends — integer panels, the scalar reference, and
-/// simd-f32 cycling across every frozen conv's shards — must rejoin
-/// bit-exactly with the unplaced f32 oracle, on both the batched and the
-/// shared (`&self`) path, and clearing the plans must restore baseline.
-#[test]
-fn mixed_backend_placed_shards_rejoin_bit_exactly() {
-    let requests = {
-        let rng = &mut CqRng::new(5152);
-        [
-            rng.normal_tensor(&[1, 3, 12, 12], 1.0),
-            rng.normal_tensor(&[7, 3, 12, 12], 1.0),
-        ]
-    };
-    let mut pm = prepared_model(true, Granularity::Column, Digitizer::Clean, 5151);
-    pm.set_max_batch(Some(3));
-    pm.set_psum_kernel(PsumKernel::F32).unwrap();
-    let want = pm.infer_batch(&requests);
-
-    pm.set_backends(BackendSet::auto()).unwrap();
-    let kinds = [
-        BackendKind::IntPanels,
-        BackendKind::Scalar,
-        BackendKind::SimdF32,
-    ];
-    let (mut placed, mut mixed) = (0usize, 0usize);
-    for_each_cim_conv(pm.model_mut(), |c| {
-        let tiles = c.plan().num_row_tiles;
-        let plan = ShardPlan::split(tiles, tiles.min(kinds.len()));
-        let placement: Vec<BackendKind> = (0..plan.num_shards())
-            .map(|i| kinds[i % kinds.len()])
-            .collect();
-        if placement.len() > 1 {
-            mixed += 1;
-        }
-        c.set_shard_plan(Some(plan.with_placement(placement)))
-            .unwrap();
-        placed += 1;
-    });
-    assert!(placed > 0, "no frozen convs to place");
-    assert!(
-        mixed > 0,
-        "no layer had more than one row-tile shard — mixed placement unexercised"
-    );
-    assert_eq!(
-        pm.infer_batch(&requests),
-        want,
-        "mixed-backend placed shards diverged on the batched path"
-    );
-    for (req, w) in requests.iter().zip(&want) {
-        assert_eq!(
-            &pm.infer_shared(req),
-            w,
-            "mixed-backend placed shards diverged on the shared path"
-        );
-    }
-
-    // Clearing the plans hands execution back to the chain's primary
-    // backend — same bits.
-    for_each_cim_conv(pm.model_mut(), |c| c.set_shard_plan(None).unwrap());
-    assert_eq!(
-        pm.infer_batch(&requests),
-        want,
-        "clearing placed plans diverged"
-    );
 }
 
 /// A representative sharded cell must be bit-identical across executor
@@ -232,7 +160,7 @@ fn sharded_cell_is_bit_exact_at_every_pool_width() {
 /// unsharded sweep bit-for-bit.
 #[test]
 fn batch_segment_sharding_rejoins_bit_exactly() {
-    let mut pm = prepared_model(true, Granularity::Column, Digitizer::Clean, 4242);
+    let pm = prepared_model(true, Granularity::Column, Digitizer::Clean, 4242);
     let big = CqRng::new(4243).normal_tensor(&[9, 3, 12, 12], 1.0);
     let want = pm.infer_batch(std::slice::from_ref(&big)).pop().unwrap();
     let pm = &pm;
@@ -243,7 +171,7 @@ fn batch_segment_sharding_rejoins_bit_exactly() {
             for (seg, out) in plan.iter().zip(parts.iter_mut()) {
                 let big = &big;
                 sc.spawn(move || {
-                    *out = Some(pm.infer_shared(&big.slice_outer(seg.start, seg.end)));
+                    *out = Some(pm.infer(&big.slice_outer(seg.start, seg.end)));
                 });
             }
         });

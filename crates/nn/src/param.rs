@@ -86,19 +86,19 @@ pub enum Mode {
 /// accumulating parameter gradients internally.
 ///
 /// Layers are `Send + Sync` so whole models can move between (and be
-/// served from) worker threads — e.g. the `cq-serve` front-end parks each
-/// registered `PreparedCimModel` behind a lock that any worker may drain
-/// batches into, and sharded serving runs [`Layer::forward_shared`] from
-/// several workers at once through a read lock. Every layer in this
-/// workspace is plain owned data (frozen CIM convolutions guard their
-/// scratch pool with a mutex), so the bounds cost nothing.
+/// served from) worker threads: a frozen `PreparedCimModel` serves only
+/// through [`Layer::forward_shared`], so the `cq-serve` front-end runs
+/// every sweep and shard of a model from several workers at once under a
+/// read lock. Every layer in this workspace is plain owned data, so the
+/// bounds cost nothing.
 pub trait Layer: std::any::Any + Send + Sync {
-    /// Runs the layer on `x`.
+    /// Runs the layer on `x` — the training/evaluation path, which may
+    /// update caches and lazily initialized state.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 
-    /// Eval-mode forward through shared state (`&self`), for **concurrent
-    /// serving**: several threads may call it on one layer at once (e.g.
-    /// batch-segment shards of one oversized sweep). Must be
+    /// Eval-mode forward through shared state (`&self`) — the **one
+    /// serving path**: several threads may call it on one layer at once
+    /// (e.g. batch-segment shards of one oversized sweep). Must be
     /// **bit-identical** to `forward(x, Mode::Eval)`.
     ///
     /// Returns `None` when this layer (or any descendant) cannot serve

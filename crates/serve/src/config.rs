@@ -3,7 +3,7 @@
 //! the strict Latency≻Bulk priority order is tempered by aging.
 
 use crate::queue::Admission;
-use cq_core::{BackendError, BackendSet, PsumKernel};
+use cq_core::{BackendError, BackendSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -148,9 +148,6 @@ pub enum ConfigError {
     /// A [`ServeConfig::scheme_allowlist`] entry was the empty string —
     /// it could never match a scheme name.
     EmptySchemeAllowlistEntry,
-    /// [`CimServer::set_config`](crate::CimServer::set_config) was called
-    /// while a serving session still holds the server's shared state.
-    SessionActive,
     /// The configured [`ServeConfig::backends`] chain cannot execute some
     /// resident model layer (see [`BackendError`]) — e.g. a bare
     /// `BackendSet::int()` over a model frozen under device variation.
@@ -192,9 +189,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroBulkMaxAge => "bulk_max_age must be positive",
             ConfigError::EmptySchemeAllowlistEntry => {
                 "scheme_allowlist entries must be non-empty scheme names"
-            }
-            ConfigError::SessionActive => {
-                "config can only change between sessions: a serving session is still active"
             }
             ConfigError::Backend(err) => return write!(f, "backend chain rejected: {err}"),
         })
@@ -323,12 +317,6 @@ impl ServeConfig {
         ServeConfigBuilder {
             cfg: Self::default(),
         }
-    }
-
-    /// The legacy [`PsumKernel`] view of the configured backend chain
-    /// (see [`BackendSet::as_psum_kernel`]).
-    pub fn psum_kernel(&self) -> PsumKernel {
-        self.backends.as_psum_kernel()
     }
 
     /// Checks every invariant the server relies on.
@@ -468,13 +456,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Legacy kernel-family shorthand: installs the [`BackendSet`] the
-    /// given [`PsumKernel`] maps to (`Auto` → auto chain, `F32` → f32
-    /// only, `Int` → int only).
-    pub fn psum_kernel(self, kernel: PsumKernel) -> Self {
-        self.backends(kernel.into())
-    }
-
     /// Quantization-scheme allowlist for live registration (empty admits
     /// every scheme); entries are validated non-empty by
     /// [`build`](ServeConfigBuilder::build).
@@ -524,27 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn psum_kernel_setter_installs_the_mapped_chain() {
-        let cfg = ServeConfig::builder()
-            .psum_kernel(PsumKernel::F32)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.backends, BackendSet::f32());
-        assert_eq!(cfg.psum_kernel(), PsumKernel::F32);
-    }
-
-    #[test]
     fn backends_setter_installs_the_chain() {
         let cfg = ServeConfig::builder()
             .backends(BackendSet::scalar())
             .build()
             .unwrap();
         assert_eq!(cfg.backends, BackendSet::scalar());
-        assert_eq!(
-            cfg.psum_kernel(),
-            PsumKernel::F32,
-            "non-integer chains report the F32 compat view"
-        );
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!              ┌────────────────────────────┴─┐
 //!              ▼                              ▼
 //!        worker thread  …               worker thread    (owned threads)
-//!              │ write-locked sweeps          │ read-locked shards
+//!              │ read-locked sweeps           │ read-locked shards
 //!              ▼                              ▼
 //!  ┌──────────────────────────────────────────────────┐
 //!  │ ModelRegistry: id → RwLock<PreparedCimModel>     │
-//!  │ (frozen weights; scratch pools; optional         │
+//!  │ (frozen weights, served through &self; optional  │
 //!  │  row-tile sharding inside every conv)            │
 //!  └──────────────────────────────────────────────────┘
 //!              │ shard outputs rejoined (exact concat),
@@ -57,9 +57,7 @@
 //! pollable [`Ticket`]; a [`CompletionSet`] multiplexes hundreds of
 //! in-flight tickets through one condvar. [`ServeSession::shutdown`]
 //! drains every admitted request, joins the workers, and returns the
-//! final [`ServeStats`] with the resident models. The PR 3/4 closure
-//! flow survives as [`CimServer::serve`], a thin wrapper over the same
-//! machinery.
+//! final [`ServeStats`] with the resident models.
 //!
 //! **Hot-swap.** A *running* session is reconfigurable:
 //! [`ServeSession::register`] installs a new model (routable the moment
@@ -182,7 +180,7 @@ pub use completion::{CompletionSet, TicketKey};
 pub use config::{ConfigError, SchedulerPolicy, ServeConfig, ServeConfigBuilder, TenantSpec};
 // Re-exported so `ServeSession::shutdown`'s return type is nameable from
 // this crate alone.
-pub use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel, PsumKernel};
+pub use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel};
 pub use metrics::{
     DepthSample, LatencyHistogram, ModelStats, TenantStats, WorkerStats, HISTOGRAM_BUCKETS,
 };

@@ -2,14 +2,16 @@
 //! frozen [`PreparedCimModel`]s — **mutable on a live session**.
 //!
 //! Each resident model sits in a slot behind its own reader-writer lock
-//! and carries its own frozen weights and scratch buffers. Coalesced
-//! sweeps take the write lock (one scratch, one crossbar program), so
-//! sweeps into one model serialize while workers serve different models
-//! concurrently. Batch-segment **shards** take the read lock and run
-//! through the shared-state path ([`PreparedCimModel::infer_shared`]), so
-//! every worker can execute a segment of the same oversized sweep at
-//! once. Outputs are bit-identical to calling the standalone
-//! `PreparedCimModel` directly — residency changes scheduling only.
+//! and carries its own frozen weights. A frozen model is a pure function
+//! of its input, so coalesced sweeps
+//! ([`PreparedCimModel::infer_batch`]) and batch-segment **shards**
+//! ([`PreparedCimModel::infer`]) alike run under the **read** lock: any
+//! number of workers serve the same model at once, and a sweep that
+//! panics (e.g. on a malformed input) cannot poison the lock for the
+//! requests after it. Only configuration (sweep cap, row-tile shards,
+//! backend chain) and eviction's reclaim take the write lock. Outputs are
+//! bit-identical to calling the standalone `PreparedCimModel` directly —
+//! residency changes scheduling only.
 //!
 //! **Hot-swap.** The slot list itself sits behind a `RwLock`, so
 //! [`ServeSession::register`](crate::ServeSession::register) and
@@ -572,29 +574,29 @@ impl ModelRegistry {
         *self.slot(id).meta.lock().unwrap()
     }
 
-    /// Write-locks model `id` and serves `requests` through its coalescing
+    /// Read-locks model `id` and serves `requests` through its coalescing
     /// [`PreparedCimModel::infer_batch`].
     pub(crate) fn infer_batch(&self, id: ModelId, requests: &[Tensor]) -> Vec<Tensor> {
         self.slot(id)
             .model
-            .write()
+            .read()
             .unwrap()
-            .as_mut()
+            .as_ref()
             .expect("model evicted with requests in flight")
             .infer_batch(requests)
     }
 
-    /// Read-locks model `id` and serves one batch segment through the
-    /// shared-state path — many workers may do this concurrently on one
-    /// model (see [`PreparedCimModel::infer_shared`]).
-    pub(crate) fn infer_shared(&self, id: ModelId, segment: &Tensor) -> Tensor {
+    /// Read-locks model `id` and serves one batch segment — many workers
+    /// may do this concurrently on one model (see
+    /// [`PreparedCimModel::infer`]).
+    pub(crate) fn infer(&self, id: ModelId, segment: &Tensor) -> Tensor {
         self.slot(id)
             .model
             .read()
             .unwrap()
             .as_ref()
             .expect("model evicted with shards in flight")
-            .infer_shared(segment)
+            .infer(segment)
     }
 
     /// Runs `f` over every live model (write-locked one at a time, list
@@ -652,16 +654,6 @@ impl ModelRegistry {
             *slot.meta.lock().unwrap() = meta_of(m);
             result
         })
-    }
-
-    /// Legacy kernel-family shorthand for
-    /// [`set_backends`](ModelRegistry::set_backends).
-    ///
-    /// # Errors
-    ///
-    /// See [`set_backends`](ModelRegistry::set_backends).
-    pub fn set_psum_kernel(&mut self, kernel: cq_core::PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(&kernel.into())
     }
 
     /// The primary (most-common active) backend of each **live** resident
@@ -731,6 +723,27 @@ mod tests {
         let warm = cq_tensor::CqRng::new(1).normal_tensor(&[1, 3, 8, 8], 1.0);
         let _ = net.forward(&warm, Mode::Eval);
         PreparedCimModel::new(Box::new(net))
+    }
+
+    /// A sweep that panics mid-model (here: a 5-channel request into a
+    /// 3-channel model) must not poison the slot — the next well-formed
+    /// request is served bit-exactly.
+    #[test]
+    fn failed_sweep_does_not_poison_the_model() {
+        let mut registry = ModelRegistry::new();
+        let id = registry.register("m", tiny_model());
+        let x = cq_tensor::CqRng::new(2).normal_tensor(&[1, 3, 8, 8], 1.0);
+        let want = registry.infer_batch(id, std::slice::from_ref(&x));
+        let bad = cq_tensor::CqRng::new(3).normal_tensor(&[1, 5, 8, 8], 1.0);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            registry.infer_batch(id, std::slice::from_ref(&bad))
+        }));
+        assert!(failed.is_err(), "malformed request must panic its sweep");
+        assert_eq!(
+            registry.infer_batch(id, std::slice::from_ref(&x)),
+            want,
+            "model poisoned by a failed sweep"
+        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! client-side submission surface.
 //!
 //! A [`ServeSession`] is created by [`CimServer::start`](crate::CimServer::start)
-//! (owned flow — `shutdown` hands the resident models back) or internally
-//! by [`CimServer::serve`](crate::CimServer::serve) (scoped compatibility
-//! flow). Its worker threads are **owned** `std::thread::spawn` threads
+//! and `shutdown` hands the resident models back. Its worker threads are
+//! **owned** `std::thread::spawn` threads
 //! sharing the session state through `Arc` — no scope borrow, so the
 //! session can be moved, stored, and shut down from anywhere, and clients
 //! never block inside a closure unless they choose to.
@@ -42,12 +41,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// The server state a session shares with its workers (and, in the
-/// compatibility flow, with the originating [`CimServer`](crate::CimServer)).
-pub(crate) struct ServerCore {
-    pub(crate) registry: ModelRegistry,
-}
-
 /// The worker pool's mutable state (behind one mutex — touched on
 /// spawn/retire/snapshot, never on the per-request hot path beyond the
 /// depth probe in `maybe_scale_up`).
@@ -73,7 +66,7 @@ struct PoolState {
 
 /// Everything one session's workers share.
 struct SessionShared {
-    core: Arc<ServerCore>,
+    registry: ModelRegistry,
     queue: RequestQueue,
     cfg: ServeConfig,
     pool: Mutex<PoolState>,
@@ -114,11 +107,11 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Spawns the session's initial `min_workers` worker threads over
-    /// `core` under `cfg` (validated by the caller).
-    pub(crate) fn spawn(core: Arc<ServerCore>, cfg: ServeConfig) -> Self {
+    /// `registry` under `cfg` (validated by the caller).
+    pub(crate) fn spawn(registry: ModelRegistry, cfg: ServeConfig) -> Self {
         let shared = Arc::new(SessionShared {
             queue: RequestQueue::with_tenants(cfg.queue_capacity, &cfg.tenants),
-            core,
+            registry,
             pool: Mutex::new(PoolState {
                 live: 0,
                 peak: 0,
@@ -132,7 +125,7 @@ impl ServeSession {
         });
         shared
             .queue
-            .set_backend_layers(shared.core.registry.backend_layer_counts());
+            .set_backend_layers(shared.registry.backend_layer_counts());
         {
             let mut pool = shared.pool.lock().unwrap();
             for _ in 0..shared.cfg.min_workers {
@@ -165,7 +158,7 @@ impl ServeSession {
     /// Panics if the input is not rank 4.
     pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
         let shared = &self.inner().shared;
-        let registry = &shared.core.registry;
+        let registry = &shared.registry;
         let input = request.input.ok_or(SubmitError::MissingInput)?;
         assert_eq!(input.rank(), 4, "request must be [B,C,H,W]");
         let tenant = match &request.tenant {
@@ -239,14 +232,11 @@ impl ServeSession {
             kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
             layers: model.backend_layer_counts(),
         };
-        let id = shared
-            .core
-            .registry
-            .register_live(name, scheme, model, meta)?;
+        let id = shared.registry.register_live(name, scheme, model, meta)?;
         shared.queue.note_hot_register();
         shared
             .queue
-            .set_backend_layers(shared.core.registry.backend_layer_counts());
+            .set_backend_layers(shared.registry.backend_layer_counts());
         Ok(id)
     }
 
@@ -264,23 +254,23 @@ impl ServeSession {
     /// [`SwapError::UnknownModel`] when no live model holds `name`.
     pub fn evict(&self, name: &str) -> Result<EvictTicket, SwapError> {
         let shared = &self.inner().shared;
-        let ticket = shared.core.registry.evict(name)?;
+        let ticket = shared.registry.evict(name)?;
         shared.queue.note_evicted();
         shared
             .queue
-            .set_backend_layers(shared.core.registry.backend_layer_counts());
+            .set_backend_layers(shared.registry.backend_layer_counts());
         Ok(ticket)
     }
 
     /// Resolves a model name to its registry handle (for
     /// [`Request::to_id`] hot paths).
     pub fn model_id(&self, name: &str) -> Option<ModelId> {
-        self.inner().shared.core.registry.id(name)
+        self.inner().shared.registry.id(name)
     }
 
     /// The resident model set.
     pub fn registry(&self) -> &ModelRegistry {
-        &self.inner().shared.core.registry
+        &self.inner().shared.registry
     }
 
     /// The policy this session was started under.
@@ -327,39 +317,19 @@ impl ServeSession {
         // Workers joined: nothing is in flight, so any eviction still
         // waiting on a drain (e.g. its worker panicked before releasing)
         // resolves now rather than hanging its ticket.
-        inner.shared.core.registry.deliver_pending_evictions();
+        inner.shared.registry.deliver_pending_evictions();
         finalize_stats(&inner.shared, &mut stats);
         let shared = Arc::try_unwrap(inner.shared)
             .ok()
             .expect("workers joined but session state still shared");
-        let core = Arc::try_unwrap(shared.core)
-            .ok()
-            .expect("session does not own the server: shut down through CimServer::serve instead");
-        (stats, core.registry.into_models())
-    }
-
-    /// The compatibility drain used by [`CimServer::serve`](crate::CimServer::serve):
-    /// close, drain, join, return stats — without dissolving the shared
-    /// core (the server keeps its registry).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic, matching the PR 3/4 `serve`
-    /// contract.
-    pub(crate) fn finish(mut self) -> ServeStats {
-        let inner = self.inner.take().expect("session already shut down");
-        let mut stats = close_and_join(&inner.shared);
-        inner.shared.core.registry.deliver_pending_evictions();
-        finalize_stats(&inner.shared, &mut stats);
-        stats
+        (stats, shared.registry.into_models())
     }
 }
 
 impl Drop for ServeSession {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
-            // Unwind path (shutdown/finish take `inner` on the normal
-            // paths): close so workers exit, join so threads never leak,
+            // Unwind path (shutdown takes `inner` on the normal path): close so workers exit, join so threads never leak,
             // swallow worker panics — the client's panic is already
             // propagating and a double panic would abort.
             inner.shared.queue.close();
@@ -375,7 +345,7 @@ impl Drop for ServeSession {
                     let _ = worker.join();
                 }
             }
-            inner.shared.core.registry.deliver_pending_evictions();
+            inner.shared.registry.deliver_pending_evictions();
         }
     }
 }
@@ -464,7 +434,7 @@ fn close_and_join(shared: &SessionShared) -> ServeStats {
 /// model names / scheme attribution / eviction flags (registry) and the
 /// worker-pool gauges.
 fn finalize_stats(shared: &SessionShared, stats: &mut ServeStats) {
-    let names = shared.core.registry.slot_names();
+    let names = shared.registry.slot_names();
     while stats.models.len() < names.len() {
         stats.models.push(ModelStats::default());
     }
@@ -532,12 +502,9 @@ fn run_shard(shared: &SessionShared, task: ShardTask) {
         join: task.join.clone(),
         armed: true,
     };
-    let output = shared
-        .core
-        .registry
-        .infer_shared(ModelId(task.model), &task.segment);
+    let output = shared.registry.infer(ModelId(task.model), &task.segment);
     guard.armed = false;
-    let kind = shared.core.registry.slot_meta(ModelId(task.model)).kind;
+    let kind = shared.registry.slot_meta(ModelId(task.model)).kind;
     shared.queue.note_backend_shard(kind, task.model);
     task.join.complete(task.index, output);
 }
@@ -576,9 +543,9 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
     let outputs = if shardable {
         infer_sharded(shared, model, slo, &inputs, rows)
     } else {
-        shared.core.registry.infer_batch(model, &inputs)
+        shared.registry.infer_batch(model, &inputs)
     };
-    let kind = shared.core.registry.slot_meta(model).kind;
+    let kind = shared.registry.slot_meta(model).kind;
     shared.queue.note_backend_sweep(kind, rows as u64);
     debug_assert_eq!(outputs.len(), guard.0.len());
     for ((slot, output), (slo, deadline, submitted_at, tenant)) in
@@ -592,7 +559,7 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
             deadline.is_some_and(|d| at > d),
             at.saturating_duration_since(*submitted_at),
         );
-        shared.core.registry.release(model);
+        shared.registry.release(model);
     }
     // All fulfilled; the guard's abandon() calls are now no-ops.
 }

@@ -183,12 +183,14 @@ fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
         let server = CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap());
         let x = CqRng::new(version_seed(version) + 77).normal_tensor(&[2, 3, 12, 12], 1.0);
         let want = hot_refs[version].forward(&x, Mode::Eval);
-        let (got, _) = server.serve(|s| {
+        let s = server.start();
+        let got = {
             s.submit(Request::to("hot").batch(x.clone()))
                 .unwrap()
                 .wait()
                 .output
-        });
+        };
+        let _ = s.shutdown();
         assert_eq!(got, want, "reclaimed v{version} diverged after round-trip");
     }
 }

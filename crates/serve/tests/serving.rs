@@ -64,7 +64,8 @@ fn queued_serving_is_bit_exact_vs_direct() {
             .build()
             .unwrap(),
     );
-    let (got, stats) = server.serve(|s| {
+    let s = server.start();
+    let got = {
         let tickets: Vec<Ticket> = inputs
             .iter()
             .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
@@ -73,7 +74,8 @@ fn queued_serving_is_bit_exact_vs_direct() {
             .into_iter()
             .map(|t| t.wait().output)
             .collect::<Vec<_>>()
-    });
+    };
+    let (stats, _) = s.shutdown();
     assert_eq!(got, want, "queued path diverged from direct inference");
     assert_eq!(stats.submitted, 7);
     assert_eq!(stats.served, 7);
@@ -120,12 +122,13 @@ fn owned_session_start_shutdown_roundtrip() {
     assert_eq!(models.len(), 1);
     assert_eq!(models[0].0, "m");
     let registry = ModelRegistry::from_models(models);
-    let (direct, stats2) = CimServer::new(registry, cfg).serve(|s| {
-        s.submit(Request::to("m").batch(inputs[0].clone()))
-            .unwrap()
-            .wait()
-            .output
-    });
+    let s = CimServer::new(registry, cfg).start();
+    let direct = s
+        .submit(Request::to("m").batch(inputs[0].clone()))
+        .unwrap()
+        .wait()
+        .output;
+    let (stats2, _) = s.shutdown();
     assert_eq!(direct, want[0], "returned model diverged after round-trip");
     assert_eq!(stats2.served, 1);
 
@@ -289,9 +292,9 @@ fn stats_scrape_runs_concurrently_with_serving() {
     );
 }
 
-/// `set_config` is a hard error while unreachable mid-session (the
-/// sessions-only contract), rejects invalid configs loudly, and applies
-/// cleanly between sessions.
+/// `set_config` rejects invalid configs loudly and applies cleanly
+/// between sessions (a running session owns the server, so mid-session
+/// reconfiguration cannot be expressed).
 #[test]
 fn set_config_validates_and_is_sessions_only() {
     let mut registry = ModelRegistry::new();
@@ -324,13 +327,8 @@ fn set_config_validates_and_is_sessions_only() {
     server.set_config(cfg).unwrap();
     assert_eq!(server.config().min_workers, 3);
     assert_eq!(server.config().max_workers, 3, "workers(n) fixes the pool");
-    let ((), stats) = server.serve(|_s| {});
-    assert_eq!(stats.submitted, 0);
-    // Still reconfigurable after a session drained.
-    server
-        .set_config(ServeConfig::builder().workers(1).build().unwrap())
-        .unwrap();
-    assert_eq!(server.config().min_workers, 1);
+    let (stats, _) = server.start().shutdown();
+    assert_eq!(stats.workers.spawned, 3, "the session ran the new policy");
 }
 
 /// Reject admission bounds the queue: some of a fast burst is shed, the
@@ -358,7 +356,8 @@ fn reject_admission_sheds_load_with_exact_accounting() {
             .build()
             .unwrap(),
     );
-    let (results, stats) = server.serve(|s| {
+    let s = server.start();
+    let results = {
         // Submit the whole burst first (the worker needs milliseconds per
         // sweep; submission takes microseconds, so the tiny queue must
         // overflow), then wait the admitted tickets.
@@ -370,7 +369,8 @@ fn reject_admission_sheds_load_with_exact_accounting() {
             .into_iter()
             .map(|r| r.map(Ticket::wait))
             .collect::<Vec<_>>()
-    });
+    };
+    let (stats, _) = s.shutdown();
     let mut admitted = 0u64;
     let mut shed = 0u64;
     for (r, want) in results.into_iter().zip(&want) {
@@ -441,7 +441,8 @@ fn multi_model_residency_is_isolated_and_bit_exact() {
             .build()
             .unwrap(),
     );
-    let (got, stats) = server.serve(|s| {
+    let s = server.start();
+    let got = {
         let tickets: Vec<Ticket> = inputs
             .iter()
             .map(|(m, x)| {
@@ -453,7 +454,8 @@ fn multi_model_residency_is_isolated_and_bit_exact() {
             .into_iter()
             .map(|t| t.wait().output)
             .collect::<Vec<_>>()
-    });
+    };
+    let (stats, _) = s.shutdown();
     assert_eq!(got, want, "multi-model outputs diverged from standalone");
     assert_eq!(stats.served, 24);
 }
@@ -490,19 +492,16 @@ fn scheduler_is_deterministic_under_a_seeded_stream() {
                 .build()
                 .unwrap(),
         );
-        server.serve(|s| {
-            // Pre-submit the whole stream, then wait: the single worker's
-            // scheduler always finds a full queue (or lingers far longer
-            // than the submission loop takes), so sweeps fill to the cap.
-            let tickets: Vec<Ticket> = inputs
-                .iter()
-                .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
-                .collect();
-            tickets
-                .into_iter()
-                .map(|t| t.wait().output)
-                .collect::<Vec<_>>()
-        })
+        let s = server.start();
+        // Pre-submit the whole stream, then wait: the single worker's
+        // scheduler always finds a full queue (or lingers far longer
+        // than the submission loop takes), so sweeps fill to the cap.
+        let tickets: Vec<Ticket> = inputs
+            .iter()
+            .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
+            .collect();
+        let outputs: Vec<Tensor> = tickets.into_iter().map(|t| t.wait().output).collect();
+        (outputs, s.shutdown().0)
     };
     let (out1, stats1) = run();
     let (out2, stats2) = run();
@@ -513,21 +512,23 @@ fn scheduler_is_deterministic_under_a_seeded_stream() {
     assert_eq!(stats1.max_sweep_rows, 4);
 }
 
-/// A request whose shape the model rejects must make `serve` panic —
-/// worker panics propagate through abandoned tickets and the close-on-
-/// unwind guard — never deadlock.
+/// A request whose shape the model rejects must panic its waiter —
+/// worker panics propagate through abandoned tickets and the session's
+/// close-on-drop guard — never deadlock.
 #[test]
 #[should_panic]
 fn model_rejecting_an_input_panics_instead_of_hanging() {
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(50));
     let server = CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap());
-    let ((), _) = server.serve(|s| {
+    let s = server.start();
+    {
         // Wrong channel count: the model's first conv rejects it.
         let bad = Tensor::zeros(&[1, 5, 12, 12]);
         let t = s.submit(Request::to("m").batch(bad)).unwrap();
         let _ = t.wait(); // panics: the worker abandoned the ticket
-    });
+    }
+    let _ = s.shutdown();
 }
 
 /// Unknown models and batch-less requests fail recoverably at
@@ -537,7 +538,8 @@ fn unknown_model_and_missing_input_are_rejected_at_submit() {
     let mut registry = ModelRegistry::new();
     registry.register("only", prepared(40));
     let server = CimServer::new(registry, ServeConfig::default());
-    let ((unknown, missing, served), _) = server.serve(|s| {
+    let s = server.start();
+    let (unknown, missing, served) = {
         let unknown = s
             .submit(Request::to("missing").batch(Tensor::zeros(&[1, 3, 12, 12])))
             .err()
@@ -549,7 +551,8 @@ fn unknown_model_and_missing_input_are_rejected_at_submit() {
             .unwrap()
             .wait();
         (unknown, missing, served)
-    });
+    };
+    let _ = s.shutdown();
     assert!(matches!(unknown, SubmitError::UnknownModel(name) if name == "missing"));
     assert!(matches!(missing, SubmitError::MissingInput));
     assert_eq!(served.output.dim(0), 1);
@@ -612,7 +615,8 @@ fn sharded_serving_is_bit_exact_vs_direct() {
             .build()
             .unwrap(),
     );
-    let (got, stats) = server.serve(|s| {
+    let s = server.start();
+    let got = {
         let tickets: Vec<Ticket> = inputs
             .iter()
             .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
@@ -621,7 +625,8 @@ fn sharded_serving_is_bit_exact_vs_direct() {
             .into_iter()
             .map(|t| t.wait().output)
             .collect::<Vec<_>>()
-    });
+    };
+    let (stats, _) = s.shutdown();
     assert_eq!(got, want, "sharded serving diverged from direct inference");
     assert_eq!(stats.served, 5);
     assert!(
@@ -654,12 +659,14 @@ fn single_worker_sharding_drains_its_own_pool() {
             .build()
             .unwrap(),
     );
-    let (got, stats) = server.serve(|s| {
+    let s = server.start();
+    let got = {
         s.submit(Request::to("m").batch(big.clone()))
             .unwrap()
             .wait()
             .output
-    });
+    };
+    let (stats, _) = s.shutdown();
     assert_eq!(got, want);
     assert_eq!(stats.sharded_sweeps, 1);
     assert_eq!(stats.shards_executed, 3);
@@ -672,14 +679,16 @@ fn request_builder_defaults_to_bulk() {
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(65));
     let server = CimServer::new(registry, ServeConfig::default());
-    let (slo, stats) = server.serve(|s| {
+    let s = server.start();
+    let slo = {
         let t = s
             .submit(Request::to("m").batch(Tensor::zeros(&[1, 3, 12, 12])))
             .unwrap();
         assert_eq!(t.slo(), Slo::Bulk, "builder default class");
         assert!(t.deadline().is_none(), "builder default deadline");
         t.wait().slo
-    });
+    };
+    let (stats, _) = s.shutdown();
     assert_eq!(slo, Slo::Bulk);
     assert_eq!(stats.bulk.served, 1);
     assert_eq!(stats.latency.served, 0);

@@ -489,7 +489,8 @@ fn latency_completes_before_stale_bulk() {
     );
 
     let t0 = Instant::now();
-    let ((latency_done, bulk_done), stats) = server.serve(|s| {
+    let s = server.start();
+    let (latency_done, bulk_done) = {
         let rng = &mut CqRng::new(81);
         // A long plug occupies the single worker (32 rows, chunked into
         // 16 internal sweeps) while everything else is submitted.
@@ -520,7 +521,8 @@ fn latency_completes_before_stale_bulk() {
         let bulk_done = finish(bulk);
         let _ = plug.wait();
         (latency_done, bulk_done)
-    });
+    };
+    let (stats, _) = s.shutdown();
 
     let last_latency = latency_done.iter().max().unwrap();
     let first_bulk = bulk_done.iter().min().unwrap();
@@ -561,7 +563,9 @@ fn expired_deadlines_complete_with_missed_status() {
             .build()
             .unwrap(),
     );
-    let (outcomes, stats) = server.serve(|s| {
+    let cfg = server.config().clone();
+    let s = server.start();
+    let outcomes = {
         // The plug guarantees the deadline below expires while queued.
         let plug = s
             .submit(Request::to("m").batch(plug_input.clone()))
@@ -581,7 +585,8 @@ fn expired_deadlines_complete_with_missed_status() {
         let done: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
         let _ = plug.wait();
         done
-    });
+    };
+    let (stats, models) = s.shutdown();
     for (completed, want) in outcomes.iter().zip(&want) {
         assert!(completed.missed, "zero deadline behind a plug must miss");
         assert_eq!(completed.slo, Slo::Latency);
@@ -591,7 +596,8 @@ fn expired_deadlines_complete_with_missed_status() {
     assert_eq!(stats.latency.served, 4);
 
     // A generous deadline under the same load does not miss.
-    let (completed, stats) = server.serve(|s| {
+    let s = CimServer::new(ModelRegistry::from_models(models), cfg).start();
+    let completed = {
         s.submit(
             Request::to("m")
                 .batch(inputs[0].clone())
@@ -600,15 +606,16 @@ fn expired_deadlines_complete_with_missed_status() {
         )
         .unwrap()
         .wait()
-    });
+    };
+    let (stats, _) = s.shutdown();
     assert!(!completed.missed);
     assert_eq!(stats.latency.missed, 0);
 }
 
 /// A panicking shard executor must propagate: the failed join panics the
 /// coordinating worker, which abandons its tickets, which panics the
-/// waiting client — `serve` never deadlocks (the sharded extension of the
-/// PR 3 close-on-unwind guarantee).
+/// waiting client — the session never deadlocks (the sharded extension
+/// of the close-on-unwind guarantee).
 #[test]
 #[should_panic]
 fn panic_in_sharded_worker_propagates() {
@@ -622,13 +629,15 @@ fn panic_in_sharded_worker_propagates() {
             .build()
             .unwrap(),
     );
-    let ((), _) = server.serve(|s| {
+    let s = server.start();
+    {
         // Wrong channel count on an oversized (sharded) request: every
         // shard executor's forward rejects it.
         let bad = Tensor::zeros(&[5, 5, 12, 12]);
         let t = s.submit(Request::to("m").batch(bad)).unwrap();
         let _ = t.wait(); // panics: the coordinator abandoned the ticket
-    });
+    }
+    let _ = s.shutdown();
 }
 
 /// A worker panic in the **owned** flow propagates out of `shutdown`

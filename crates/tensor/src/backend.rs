@@ -25,10 +25,8 @@
 //! this.
 //!
 //! [`BackendSet`] is an ordered fallback chain of backends; a layer
-//! resolves the first chain entry that supports its profile. The legacy
-//! [`PsumKernel`] enum survives as a thin compat constructor
-//! (`BackendSet::from(PsumKernel)`). The process-wide default chain is
-//! read once from the `CQ_BACKEND` environment variable
+//! resolves the first chain entry that supports its profile. The
+//! process-wide default chain is read once from the `CQ_BACKEND` environment variable
 //! (`auto` | `f32` | `int` | `scalar`, default `auto`) by
 //! [`BackendSet::standard`].
 
@@ -38,8 +36,8 @@ use crate::{ConvShape, Tensor};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Identity of an execution backend — the unit of placement, fallback
-/// ordering, and per-backend serving statistics.
+/// Identity of an execution backend — the unit of fallback ordering and
+/// per-backend serving statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Serial loop-nest reference oracle ([`ScalarRef`]).
@@ -95,9 +93,6 @@ pub struct ConvProfile {
 /// recoverable configuration mistakes are reported, not panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
-    /// A shard placement named a backend that does not support the layer
-    /// (e.g. `IntPanels` on slices that are not integer-eligible).
-    Unsupported(BackendKind),
     /// No backend in the chain supports the layer.
     NoBackend(Vec<BackendKind>),
 }
@@ -105,12 +100,6 @@ pub enum BackendError {
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BackendError::Unsupported(k) => write!(
-                f,
-                "backend `{}` does not support this layer \
-                 (frozen slices not integer-eligible?)",
-                k.name()
-            ),
             BackendError::NoBackend(kinds) => {
                 let names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
                 write!(
@@ -314,29 +303,6 @@ pub fn backend_instance(kind: BackendKind) -> Arc<dyn ExecBackend> {
     cells[kind.index()].clone()
 }
 
-/// Legacy kernel-family selector, kept as a thin compat constructor for
-/// [`BackendSet`] (`BackendSet::from(kernel)`): `Auto` maps to the
-/// `[IntPanels, SimdF32]` fallback chain, `F32` to `[SimdF32]`, `Int` to
-/// the no-fallback `[IntPanels]` chain.
-///
-/// Partial sums are exact integers well inside f32's 24-bit mantissa, so
-/// every backend is **bit-identical** where applicable — the choice is
-/// purely about speed. The digitizer is downstream of the psums, so both
-/// ideal and ADC digitizers run unchanged over any backend's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PsumKernel {
-    /// The integer `i8×i8→i32` panel kernels whenever the frozen weight
-    /// slices are integer-exact, the f32 kernels otherwise (e.g. when
-    /// device variation has perturbed slices off-integer).
-    #[default]
-    Auto,
-    /// Always the f32 grouped-convolution kernels.
-    F32,
-    /// Require the integer kernels; selection fails if the frozen slices
-    /// are not integer-eligible.
-    Int,
-}
-
 /// An ordered fallback chain of execution backends.
 ///
 /// A layer resolves to the **first** chain entry whose capability probe
@@ -361,8 +327,7 @@ impl BackendSet {
         }
     }
 
-    /// `[IntPanels, SimdF32]` — integer kernels with f32 fallback (the
-    /// historical `PsumKernel::Auto`).
+    /// `[IntPanels, SimdF32]` — integer kernels with f32 fallback.
     pub fn auto() -> Self {
         Self::new(&[BackendKind::IntPanels, BackendKind::SimdF32])
     }
@@ -385,7 +350,7 @@ impl BackendSet {
 
     /// The process-wide default chain, read **once** from the
     /// `CQ_BACKEND` environment variable: `auto` (default), `f32`, `int`,
-    /// or `scalar`. Explicit `set_backends`/`set_psum_kernel` calls always
+    /// or `scalar`. Explicit `set_backends` calls always
     /// override this default.
     ///
     /// # Panics
@@ -433,22 +398,6 @@ impl BackendSet {
     pub fn resolve(&self, profile: &ConvProfile) -> Option<Arc<dyn ExecBackend>> {
         self.chain.iter().find(|b| b.supports(profile)).cloned()
     }
-
-    /// The legacy [`PsumKernel`] view of this chain: `Auto` when it holds
-    /// `IntPanels` plus a fallback, `Int` for the bare `IntPanels` chain,
-    /// `F32` otherwise (including the scalar chain, which the closed enum
-    /// cannot name).
-    pub fn as_psum_kernel(&self) -> PsumKernel {
-        if self.contains(BackendKind::IntPanels) {
-            if self.chain.len() > 1 {
-                PsumKernel::Auto
-            } else {
-                PsumKernel::Int
-            }
-        } else {
-            PsumKernel::F32
-        }
-    }
 }
 
 impl PartialEq for BackendSet {
@@ -458,16 +407,6 @@ impl PartialEq for BackendSet {
 }
 
 impl Eq for BackendSet {}
-
-impl From<PsumKernel> for BackendSet {
-    fn from(kernel: PsumKernel) -> Self {
-        match kernel {
-            PsumKernel::Auto => Self::auto(),
-            PsumKernel::F32 => Self::f32(),
-            PsumKernel::Int => Self::int(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -522,27 +461,6 @@ mod tests {
             BackendSet::scalar().resolve(&ineligible).unwrap().kind(),
             BackendKind::Scalar
         );
-    }
-
-    /// The `PsumKernel` compat mapping is pinned in both directions.
-    #[test]
-    fn psum_kernel_compat_mapping_is_pinned() {
-        assert_eq!(
-            BackendSet::from(PsumKernel::Auto).kinds(),
-            vec![BackendKind::IntPanels, BackendKind::SimdF32]
-        );
-        assert_eq!(
-            BackendSet::from(PsumKernel::F32).kinds(),
-            vec![BackendKind::SimdF32]
-        );
-        assert_eq!(
-            BackendSet::from(PsumKernel::Int).kinds(),
-            vec![BackendKind::IntPanels]
-        );
-        for k in [PsumKernel::Auto, PsumKernel::F32, PsumKernel::Int] {
-            assert_eq!(BackendSet::from(k).as_psum_kernel(), k);
-        }
-        assert_eq!(BackendSet::scalar().as_psum_kernel(), PsumKernel::F32);
     }
 
     #[test]
