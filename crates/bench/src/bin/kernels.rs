@@ -1,4 +1,4 @@
-//! Kernel micro-benchmark: integer i8/i32 psum panels vs the f32
+//! Kernel micro-benchmark: the integer psum GEMM vs the f32
 //! grouped-conv front-end, plus the end-to-end frozen-engine comparison.
 //! Emits `BENCH_kernels.json`.
 fn main() {

@@ -1,8 +1,8 @@
 //! **Kernel micro-benchmark** — every execution backend on the
 //! partial-sum front-end per shape: the scalar reference oracle
 //! (`ScalarRef`), the blocked f32 kernels (`SimdF32`, via
-//! [`PsumPipeline::grouped_psums_into`]), and the integer `i8`/`i32`
-//! panel kernels (`IntPanels`, via
+//! [`PsumPipeline::grouped_psums_into`]), and the integer multi-split
+//! GEMM (`IntPanels`, via
 //! [`PsumPipeline::grouped_psums_int_into`]) — plus an end-to-end
 //! frozen-engine comparison (forced f32 chain vs the auto chain's
 //! integer selection) on the serving model.
@@ -328,7 +328,7 @@ pub fn run(scale: Scale) -> String {
             ]
         })
         .collect();
-    let mut out = String::from("## Psum kernels — scalar vs f32 vs integer i8/i32 backends\n\n");
+    let mut out = String::from("## Psum kernels — scalar vs f32 vs integer backends\n\n");
     out.push_str(&format!(
         "Bit-identical outputs checked before every timing; {} threads ({:?} scale).\n\n",
         r.threads, r.scale

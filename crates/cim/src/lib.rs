@@ -19,7 +19,7 @@
 //! * [`BackendSet`] / [`ExecBackend`] (re-exported from `cq_tensor`) —
 //!   serving-side backend selection: the psum front-end resolves an
 //!   ordered fallback chain of execution backends (scalar reference,
-//!   blocked f32, freeze-time repacked `i8×i8→i32` panel kernels over
+//!   blocked f32, the integer multi-split GEMM over freeze-time packed
 //!   [`IntGroupedWeights`]) against each layer's capability profile, all
 //!   bit-identical where applicable.
 //! * [`ShardPlan`] — contiguous partitioning of row tiles (or batch rows)

@@ -19,8 +19,9 @@
 //! f32 operation order, the two paths agree **bit-exactly** at zero
 //! variation (`engine_equivalence` integration tests pin this).
 //!
-//! Heavy loops are parallelized across `batch × row-tile` work items on the
-//! persistent [`cq_tensor::exec`] pool, using the same
+//! Heavy loops are parallelized on the persistent [`cq_tensor::exec`]
+//! pool — the front-ends across `batch × row-tile` work items, the reduce
+//! across `batch × output-channel block` items — using the same
 //! [`cq_tensor::threads_for`] policy (and `CQ_THREADS` override) as the GEMM
 //! kernels; per-task integer scratch comes from the executing worker's
 //! [`cq_tensor::arena`].
@@ -40,6 +41,9 @@ use std::ops::Range;
 #[derive(Debug, Clone)]
 pub struct IntGroupedWeights {
     panels: Vec<PackedPanels>,
+    /// Largest activation magnitude the layer's format can produce: with
+    /// the panels' largest weight it fixes the GEMM's `i16` spill interval.
+    act_max: i32,
 }
 
 impl IntGroupedWeights {
@@ -122,13 +126,18 @@ impl<'a> AdcDigitizer<'a> {
     /// # Panics
     ///
     /// Panics if the table length is not
-    /// `num_splits · num_row_tiles · out_ch`.
+    /// `num_splits · num_row_tiles · out_ch`, or if any scale is not
+    /// finite and positive (checked once here, so the per-column loop of
+    /// [`ColumnDigitizer::digitize_axpy`] carries no check).
     pub fn new(adc: Adc, scales: &'a [f32], plan: &TilingPlan) -> Self {
         assert_eq!(
             scales.len(),
             plan.num_splits * plan.num_row_tiles * plan.out_ch,
             "psum scale table length vs plan"
         );
+        if let Some(bad) = scales.iter().find(|s| !(s.is_finite() && **s > 0.0)) {
+            panic!("psum scales must be finite and positive, got {bad}");
+        }
         Self {
             adc,
             scales,
@@ -136,14 +145,68 @@ impl<'a> AdcDigitizer<'a> {
             out_ch: plan.out_ch,
         }
     }
+
+    #[inline]
+    fn scale(&self, split: usize, row_tile: usize, oc: usize) -> f32 {
+        self.scales[(split * self.num_row_tiles + row_tile) * self.out_ch + oc]
+    }
 }
 
 impl ColumnDigitizer for AdcDigitizer<'_> {
     #[inline]
     fn digitize(&self, analog: f32, split: usize, row_tile: usize, oc: usize) -> f32 {
-        let sp = self.scales[(split * self.num_row_tiles + row_tile) * self.out_ch + oc];
+        let sp = self.scale(split, row_tile, oc);
         self.adc.convert(analog, sp) * sp
     }
+
+    /// The column's scale is fetched once, and both loops are branch-free
+    /// so they vectorize; each reproduces [`Adc::convert`] and the pinned
+    /// multiply order bit-for-bit.
+    #[allow(clippy::too_many_arguments)]
+    fn digitize_axpy(
+        &self,
+        psums: &[f32],
+        split: usize,
+        row_tile: usize,
+        oc: usize,
+        sw: f32,
+        shift: f32,
+        gain: f32,
+        out: &mut [f32],
+    ) {
+        let sp = self.scale(split, row_tile, oc);
+        let format = self.adc.format();
+        if format.is_binary() {
+            // The code is ±1, so the term is ±(((sp·sw)·shift)·gain):
+            // IEEE rounding is symmetric in sign, so negating the product
+            // equals multiplying out from −sp.
+            let pos = ((sp * sw) * shift) * gain;
+            for (yv, &pv) in out.iter_mut().zip(psums) {
+                *yv += if pv / sp >= 0.0 { pos } else { -pos };
+            }
+        } else {
+            let (lo, hi) = (-format.qn(), format.qp());
+            for (yv, &pv) in out.iter_mut().zip(psums) {
+                let code = round_half_away((pv / sp).clamp(lo, hi));
+                *yv += (((code * sp) * sw) * shift) * gain;
+            }
+        }
+    }
+}
+
+/// `f32::round` (half away from zero, sign kept) for `|x| < 2²²`, written
+/// with adds and compares that vectorize — `round` itself is a scalar
+/// library call on the x86-64 baseline. ADC codes are clamped to at most
+/// 16 bits, far inside the range.
+#[inline]
+fn round_half_away(x: f32) -> f32 {
+    // Adding and removing 2²³ rounds to nearest-even; ties that went down
+    // to the even neighbour are moved up, away from zero.
+    const SHIFT: f32 = 8_388_608.0;
+    let a = x.abs();
+    let even = (a + SHIFT) - SHIFT;
+    let away = if a - even == 0.5 { even + 1.0 } else { even };
+    away.copysign(x)
 }
 
 /// Wraps another digitizer with deterministic per-physical-column
@@ -354,7 +417,8 @@ impl PsumPipeline {
     /// worst-case column sum `max|w| · act_max_abs · c_pa·K·K` could leave
     /// the 2²⁴ window in which f32 carries integers exactly. Every
     /// unperturbed CIM configuration is orders of magnitude inside these
-    /// bounds.
+    /// bounds. `act_max_abs` also fixes the interval at which the GEMM's
+    /// `i16` lanes spill into `i32` (see [`cq_tensor::igemm_splits_into`]).
     ///
     /// # Panics
     ///
@@ -391,7 +455,10 @@ impl PsumPipeline {
                         Some(packed)
                     })
                     .collect::<Option<Vec<_>>>()?;
-                Some(IntGroupedWeights { panels })
+                Some(IntGroupedWeights {
+                    panels,
+                    act_max: act_max_abs.ceil() as i32,
+                })
             })
             .collect::<Option<Vec<_>>>()?;
         let bound = max_abs as f64 * act_max_abs as f64 * cr as f64;
@@ -473,20 +540,20 @@ impl PsumPipeline {
     /// [`PsumPipeline::grouped_psums_shard_into`]: computes the partial
     /// sums of row tiles `tiles` from activations `a` (`[B, len·c_pa, H,
     /// W]` — the full padded tensor when `tiles` spans the plan, or a
-    /// [`PsumPipeline::slice_padded_row_tiles`] block) with the
-    /// `i8×i8→i32` panel kernels, writing exact `i32→f32` conversions
-    /// into `psums`.
+    /// [`PsumPipeline::slice_padded_row_tiles`] block) with the integer
+    /// kernels, writing exact `i32→f32` conversions into `psums`.
     ///
-    /// The im2col patch matrix is built **once per (image, row tile)** in
-    /// i8, widened once, and reused across every bit-split's GEMM — the
-    /// f32 path re-runs im2col per split — and work is parallelized
-    /// across `batch × row-tile` items like
-    /// [`PsumPipeline::crossbar_psums`]. Output values are bit-identical
-    /// to the f32 path (psums are exact integers inside f32's mantissa;
-    /// the `engine_equivalence` tests pin the whole matrix).
+    /// Per (image, row tile) the channel block is narrowed to i8 once, its
+    /// im2col patch matrix is built once in i16 lanes, and **one** GEMM
+    /// computes every bit-split's partial sums from it — the f32 path
+    /// re-runs im2col and the GEMM per split. Work is parallelized across
+    /// `batch × row-tile` items like [`PsumPipeline::crossbar_psums`].
+    /// Output values are bit-identical to the f32 path (psums are exact
+    /// integers inside f32's mantissa; the `engine_equivalence` tests pin
+    /// the whole matrix).
     ///
-    /// The integer chain (i8 im2col → widen → panel GEMM → i32→f32
-    /// epilogue) is routed through `backend`'s trait methods, so an
+    /// The integer chain (narrow → i16 im2col → multi-split GEMM →
+    /// i32→f32 epilogue) is routed through `backend`'s trait methods, so an
     /// integer-capable backend owns every arithmetic step of its sweep.
     ///
     /// # Panics
@@ -528,6 +595,13 @@ impl PsumPipeline {
         }
         let (cr, cc) = (s.col_rows(), s.col_cols());
         let in_img = s.in_ch * s.in_h * s.in_w;
+        let tile_img = p.ch_per_array * s.in_h * s.in_w;
+        let act_max = int_weights.iter().map(|iw| iw.act_max).max().unwrap_or(0);
+        // Every split's panels of each row tile, the sets one GEMM serves.
+        let tile_sets: Vec<Vec<&PackedPanels>> = tiles
+            .clone()
+            .map(|g| int_weights.iter().map(|iw| &iw.panels[g]).collect())
+            .collect();
 
         // One work item per (batch element, row tile); each owns the
         // `[OC, inner]` channel block it writes in every split tensor.
@@ -554,38 +628,29 @@ impl PsumPipeline {
         let work = items.len() * p.num_splits * p.out_ch * cr * cc;
         let nt = threads_for(work).min(items.len()).max(1);
         let per = items.len().div_ceil(nt);
+        let tile_sets = &tile_sets;
         exec::scope(|sc| {
             for group in items.chunks_mut(per) {
                 sc.spawn(move || {
                     // Integer scratch from the executing worker's arena: the
-                    // im2col patch matrix, its i32 widening, and the GEMM
-                    // accumulator are recycled across tasks and layers.
-                    let mut col = arena::take_i8(cr * cc);
-                    let mut b32 = arena::take_i32(cr * cc);
-                    let mut acc = arena::take_i32(p.out_ch * cc);
+                    // narrowed image, the i16 patch matrix, and the splits'
+                    // GEMM accumulators are recycled across tasks and layers.
+                    let mut img8 = arena::take_i8(tile_img);
+                    let mut col = arena::take_i16(cr * cc);
+                    let mut acc = arena::take_i32(p.num_splits * block);
                     for item in group {
                         let img = &a.data()[item.bi * in_img..(item.bi + 1) * in_img];
-                        backend.im2col_i8(
-                            img,
-                            item.g * p.ch_per_array,
-                            p.ch_per_array,
-                            &s,
-                            &mut col,
-                        );
-                        backend.widen_i8_to_i32(&col, &mut b32);
-                        for (iw, chunk) in int_weights.iter().zip(item.chunks.iter_mut()) {
-                            acc.fill(0);
-                            backend.igemm_into(
-                                &iw.panels[tiles.start + item.g],
-                                &b32,
-                                cc,
-                                &mut acc,
-                            );
-                            backend.accum_to_f32(&acc, chunk);
+                        let tile = &img[item.g * tile_img..(item.g + 1) * tile_img];
+                        backend.narrow_to_i8(tile, &mut img8);
+                        backend.im2col_i16(&img8, 0, p.ch_per_array, &s, &mut col);
+                        acc.fill(0);
+                        backend.igemm_splits_into(&tile_sets[item.g], &col, cc, act_max, &mut acc);
+                        for (acc_s, chunk) in acc.chunks_exact(block).zip(item.chunks.iter_mut()) {
+                            backend.accum_to_f32(acc_s, chunk);
                         }
                     }
-                    arena::put_i8(col);
-                    arena::put_i32(b32);
+                    arena::put_i8(img8);
+                    arena::put_i16(col);
                     arena::put_i32(acc);
                 });
             }
@@ -904,8 +969,10 @@ impl PsumPipeline {
     ///
     /// Per output element the f32 accumulation order is fixed — split
     /// outer, row tile inner — regardless of thread count: work splits
-    /// across batch elements only, so results are deterministic and the
-    /// fast and crossbar paths agree bit-exactly.
+    /// across (batch element × output-channel block) items, each owning
+    /// whole output elements, so results are deterministic, a batch of one
+    /// still spreads over the pool, and the fast and crossbar paths agree
+    /// bit-exactly.
     ///
     /// # Panics
     ///
@@ -930,32 +997,41 @@ impl PsumPipeline {
             "output shape vs plan"
         );
         let inner = oh * ow;
-        let block = p.out_ch * inner;
         if batch == 0 || inner == 0 {
             return; // nothing to accumulate
         }
         let work = batch * p.num_splits * gch * inner;
-        let nt = threads_for(work).min(batch).max(1);
-        let per = batch.div_ceil(nt);
+        let nt = threads_for(work).max(1);
+        // Enough channel blocks per image that the items cover the threads.
+        let oc_per = p.out_ch.div_ceil(nt.div_ceil(batch).min(p.out_ch));
+        let mut items: Vec<(usize, usize, &mut [f32])> = Vec::new();
+        for (bi, ob) in out.data_mut().chunks_mut(p.out_ch * inner).enumerate() {
+            for (j, oc_block) in ob.chunks_mut(oc_per * inner).enumerate() {
+                items.push((bi, j * oc_per, oc_block));
+            }
+        }
+        let per = items.len().div_ceil(nt);
         exec::scope(|sc| {
-            for (chunk_i, out_chunk) in out.data_mut().chunks_mut(per * block).enumerate() {
+            for group in items.chunks_mut(per) {
                 sc.spawn(move || {
-                    let b0 = chunk_i * per;
-                    for (bl, ob) in out_chunk.chunks_mut(block).enumerate() {
-                        self.accumulate_one(psums, digitizer, gain, b0 + bl, inner, ob);
+                    for (bi, oc0, ob) in group {
+                        self.accumulate_block(psums, digitizer, gain, *bi, *oc0, inner, ob);
                     }
                 });
             }
         });
     }
 
-    /// Shift-and-add for one batch element into its `[OC, inner]` block.
-    fn accumulate_one(
+    /// Shift-and-add for output channels `oc0..` of one batch element into
+    /// their `[len, inner]` block.
+    #[allow(clippy::too_many_arguments)] // one work item's coordinates
+    fn accumulate_block(
         &self,
         psums: &[Tensor],
         digitizer: &dyn ColumnDigitizer,
         gain: f32,
         bi: usize,
+        oc0: usize,
         inner: usize,
         out: &mut [f32],
     ) {
@@ -963,11 +1039,10 @@ impl PsumPipeline {
         for (s, ps) in psums.iter().enumerate() {
             let shift = self.bit_split.shift_weight(s);
             for g in 0..p.num_row_tiles {
-                for oc in 0..p.out_ch {
+                for (oc, ob) in (oc0..).zip(out.chunks_exact_mut(inner)) {
                     let sw = self.weight_scales[g * p.out_ch + oc];
                     let src = ((bi * p.num_row_tiles + g) * p.out_ch + oc) * inner;
                     let pd = &ps.data()[src..src + inner];
-                    let ob = &mut out[oc * inner..(oc + 1) * inner];
                     digitizer.digitize_axpy(pd, s, g, oc, sw, shift, gain, ob);
                 }
             }
@@ -1317,6 +1392,73 @@ mod tests {
             dig.digitize(0.37, 1, 0, 0),
             AdcDigitizer::new(adc, &scales, &p).digitize(0.37, 1, 0, 0)
         );
+    }
+
+    /// The vectorized `AdcDigitizer::digitize_axpy` must equal the
+    /// per-value `digitize` loop bit-for-bit — for the binary and 2/3/4-bit
+    /// grids, on signed zeros, exact `.5` ties, saturating values, and a
+    /// column scale at the LSQ `1e-4` floor — and `HybridDigitizer` must
+    /// inherit it on its converted splits.
+    #[test]
+    fn adc_digitize_axpy_matches_per_value_loop() {
+        let plan = TilingPlan::new(&CimConfig::tiny(), 7, 2, 3, 3);
+        let n = plan.num_splits * plan.num_row_tiles * plan.out_ch;
+        // Ordinary scales, the LSQ floor, and scales that turn the
+        // quarter-integer psums below into exact `.5` ties.
+        let scales: Vec<f32> = (0..n).map(|i| [0.37, 1e-4, 0.5, 1.0, 2.0][i % 5]).collect();
+        let mut psums: Vec<f32> = vec![0.0, -0.0, 1e-30, -1e-30, 1e9, -1e9, 3.0e-4, -5.0e-5];
+        psums.extend((-80..=80).map(|i| i as f32 * 0.25));
+        psums.extend((0..64).map(|i| ((i * 7919) % 201) as f32 - 100.0));
+        for bits in [1, 2, 3, 4] {
+            let adc = Adc::new(QuantFormat::signed(bits));
+            let dig = AdcDigitizer::new(adc, &scales, &plan);
+            let hybrid = HybridDigitizer::new(AdcDigitizer::new(adc, &scales, &plan), 1);
+            for (split, g, oc) in (0..plan.num_splits).flat_map(|s| {
+                (0..plan.num_row_tiles)
+                    .flat_map(move |g| (0..plan.out_ch).map(move |oc| (s, g, oc)))
+            }) {
+                for (sw, shift, gain) in [(0.0371, 1.0, 1.0), (0.5, 4.0, 0.25), (1.3e-3, 2.0, 8.0)]
+                {
+                    for base in [0.0f32, -0.0, 0.75] {
+                        let mut want = vec![base; psums.len()];
+                        for (yv, &pv) in want.iter_mut().zip(&psums) {
+                            *yv += ((dig.digitize(pv, split, g, oc) * sw) * shift) * gain;
+                        }
+                        let mut got = vec![base; psums.len()];
+                        dig.digitize_axpy(&psums, split, g, oc, sw, shift, gain, &mut got);
+                        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits_of(&got),
+                            bits_of(&want),
+                            "{bits}-bit ADC, column ({split}, {g}, {oc}), sw {sw}"
+                        );
+                        if split >= 1 {
+                            let mut hy = vec![base; psums.len()];
+                            hybrid.digitize_axpy(&psums, split, g, oc, sw, shift, gain, &mut hy);
+                            assert_eq!(bits_of(&hy), bits_of(&want), "hybrid split {split}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn adc_digitizer_rejects_zero_scale() {
+        let plan = TilingPlan::new(&CimConfig::tiny(), 3, 2, 3, 3);
+        let mut scales = vec![0.5f32; plan.num_splits * plan.num_row_tiles * plan.out_ch];
+        scales[1] = 0.0;
+        let _ = AdcDigitizer::new(Adc::new(QuantFormat::signed(3)), &scales, &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn adc_digitizer_rejects_infinite_scale() {
+        let plan = TilingPlan::new(&CimConfig::tiny(), 3, 2, 3, 3);
+        let mut scales = vec![0.5f32; plan.num_splits * plan.num_row_tiles * plan.out_ch];
+        scales[0] = f32::INFINITY;
+        let _ = AdcDigitizer::new(Adc::new(QuantFormat::signed(1)), &scales, &plan);
     }
 
     /// Bias and activation scale are applied exactly once, in the engine's

@@ -194,8 +194,8 @@ impl PreparedCimModel {
     /// Selects the execution-backend chain of every frozen CIM
     /// convolution (see [`crate::CimConv2d::set_backends`]): each layer
     /// resolves the first chain entry whose capability probe accepts it
-    /// (e.g. [`BackendSet::auto`] runs the repacked `i8×i8→i32` panel
-    /// kernels when a layer's frozen slices are integer-exact and the f32
+    /// (e.g. [`BackendSet::auto`] runs the integer multi-split GEMM
+    /// when a layer's frozen slices are integer-exact and the f32
     /// kernels otherwise). Outputs are bit-identical on every backend —
     /// the choice is pure speed.
     ///

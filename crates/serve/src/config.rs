@@ -268,8 +268,8 @@ pub struct ServeConfig {
     /// (see [`cq_core::PreparedCimModel::set_backends`]): each frozen
     /// convolution resolves the first chain entry whose capability probe
     /// accepts its profile. With the default [`BackendSet::standard`]
-    /// (`CQ_BACKEND`-overridable auto chain) a layer runs the repacked
-    /// `i8×i8→i32` panel kernels when its slices are integer-exact and
+    /// (`CQ_BACKEND`-overridable auto chain) a layer runs the integer
+    /// multi-split GEMM when its slices are integer-exact and
     /// the blocked f32 kernels otherwise. Outputs are bit-identical
     /// across backends — the knob exists for A/B benchmarking and
     /// forcing; an unsatisfiable chain (e.g. bare `int` under variation)

@@ -4,7 +4,7 @@
 //! Each OS thread that executes kernel work — executor pool workers, serve
 //! session workers, or a client thread calling the engine directly — owns
 //! one thread-local [`ScratchArena`]. Checkout is by element type
-//! ([`take_f32`] / [`take_i8`] / [`take_i32`], plus [`take_tensor`] for
+//! ([`take_f32`] / [`take_i8`] / [`take_i16`] / [`take_i32`], plus [`take_tensor`] for
 //! tensor-shaped psum/activation scratch, which is just an `f32` slab with a
 //! shape attached), and buffers are handed back with the matching `put_*`
 //! call so the capacity is reused by the next layer on the same worker.
@@ -122,6 +122,7 @@ impl<T: Clone + Default> Slab<T> {
 pub struct ScratchArena {
     f32s: Slab<f32>,
     i8s: Slab<i8>,
+    i16s: Slab<i16>,
     i32s: Slab<i32>,
     /// Capacity bytes currently checked out (footprint accounting).
     out_cap_bytes: usize,
@@ -152,6 +153,7 @@ impl ScratchArena {
         Self {
             f32s: Slab::new(),
             i8s: Slab::new(),
+            i16s: Slab::new(),
             i32s: Slab::new(),
             out_cap_bytes: 0,
             out_need_bytes: 0,
@@ -164,7 +166,10 @@ impl ScratchArena {
 
     /// Bytes of free capacity currently retained for reuse.
     pub fn held_bytes(&self) -> usize {
-        self.f32s.held_bytes() + self.i8s.held_bytes() + self.i32s.held_bytes()
+        self.f32s.held_bytes()
+            + self.i8s.held_bytes()
+            + self.i16s.held_bytes()
+            + self.i32s.held_bytes()
     }
 
     /// All-time high-water mark of this arena's footprint (checked out plus
@@ -228,9 +233,11 @@ impl ScratchArena {
             };
             let f = scale(self.f32s.held_bytes());
             let i8b = scale(self.i8s.held_bytes());
+            let i16b = scale(self.i16s.held_bytes());
             let i32b = scale(self.i32s.held_bytes());
             self.f32s.trim_to(f);
             self.i8s.trim_to(i8b);
+            self.i16s.trim_to(i16b);
             self.i32s.trim_to(i32b);
         }
     }
@@ -268,6 +275,20 @@ impl ScratchArena {
     pub fn put_i8(&mut self, v: Vec<i8>) {
         let (need, cap) = (v.len(), v.capacity());
         self.i8s.put(v);
+        self.note_put(need, cap);
+    }
+
+    /// Checks out an `i16` buffer of `len` elements with stale contents.
+    pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
+        let v = self.i16s.take(len, false);
+        self.note_take(len * 2, v.capacity() * 2);
+        v
+    }
+
+    /// Returns an `i16` buffer for reuse.
+    pub fn put_i16(&mut self, v: Vec<i16>) {
+        let (need, cap) = (v.len() * 2, v.capacity() * 2);
+        self.i16s.put(v);
         self.note_put(need, cap);
     }
 
@@ -325,6 +346,16 @@ pub fn take_i8(len: usize) -> Vec<i8> {
 /// Returns an `i8` buffer to this thread's arena.
 pub fn put_i8(v: Vec<i8>) {
     ARENA.with(|a| a.borrow_mut().put_i8(v));
+}
+
+/// Checks out an `i16` buffer (stale contents) from this thread's arena.
+pub fn take_i16(len: usize) -> Vec<i16> {
+    ARENA.with(|a| a.borrow_mut().take_i16(len))
+}
+
+/// Returns an `i16` buffer to this thread's arena.
+pub fn put_i16(v: Vec<i16>) {
+    ARENA.with(|a| a.borrow_mut().put_i16(v));
 }
 
 /// Checks out an `i32` buffer (stale contents) from this thread's arena.

@@ -2,7 +2,8 @@
 //!
 //! [`ExecBackend`] owns the per-layer compute contract that the CIM
 //! pipeline used to hardcode: the f32 grouped-convolution sweep (im2col +
-//! GEMM) and the integer chain (i8 im2col, i8→i32 widening, panel GEMM,
+//! GEMM) and the integer chain (activations narrowed to i8 once per image,
+//! i16 im2col, one multi-split i16-lane GEMM over sparse weight runs,
 //! exact i32→f32 epilogue). Three first-class implementations ship:
 //!
 //! * [`ScalarRef`] — a plain serial loop-nest **reference oracle** for
@@ -11,8 +12,8 @@
 //! * [`SimdF32`] — the production f32 path: blocked, autovectorized,
 //!   row-parallel GEMM kernels on the persistent [`exec`](crate::exec)
 //!   pool.
-//! * [`IntPanels`] — the `i8×i8→i32` panel kernels over freeze-time
-//!   repacked weights ([`PackedPanels`]); applicable only when a layer's
+//! * [`IntPanels`] — the integer kernels over freeze-time packed weights
+//!   ([`PackedPanels`]); applicable only when a layer's
 //!   frozen slices are integer-eligible, which the capability probe
 //!   [`ExecBackend::supports`] reports from a [`ConvProfile`].
 //!
@@ -31,7 +32,7 @@
 //! [`BackendSet::standard`].
 
 use crate::conv::{conv2d_grouped_into, im2col_image};
-use crate::igemm::{accum_to_f32, igemm_into, im2col_i8, widen_i8_to_i32, PackedPanels};
+use crate::igemm::{accum_to_f32, igemm_splits_into, im2col_i16, narrow_to_i8, PackedPanels};
 use crate::{ConvShape, Tensor};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -44,7 +45,7 @@ pub enum BackendKind {
     Scalar,
     /// Blocked/threaded f32 kernels ([`SimdF32`]).
     SimdF32,
-    /// Integer `i8×i8→i32` panel kernels ([`IntPanels`]).
+    /// Integer multi-split GEMM over packed weights ([`IntPanels`]).
     IntPanels,
 }
 
@@ -118,8 +119,8 @@ impl std::error::Error for BackendError {}
 /// The per-layer compute contract of the partial-sum front-end.
 ///
 /// The f32 entry point is [`conv_grouped_into`](ExecBackend::conv_grouped_into);
-/// the integer chain (`im2col_i8` → `widen_i8_to_i32` → `igemm_into` →
-/// `accum_to_f32`) is only driven when [`integer`](ExecBackend::integer)
+/// the integer chain (`narrow_to_i8` → `im2col_i16` → `igemm_splits_into`
+/// → `accum_to_f32`) is only driven when [`integer`](ExecBackend::integer)
 /// is `true`, and its default methods forward to the free-function
 /// kernels of this crate. Implementations must be `Send + Sync`: shard
 /// tasks call them from pooled worker threads.
@@ -160,19 +161,27 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
         conv2d_grouped_into(input, weight, stride, pad, groups, out, col);
     }
 
-    /// i8 im2col of one image's channel block (integer chain step 1).
-    fn im2col_i8(&self, img: &[f32], c_start: usize, c_len: usize, s: &ConvShape, col: &mut [i8]) {
-        im2col_i8(img, c_start, c_len, s, col);
+    /// Narrows one image's quantized activations to i8 (integer chain
+    /// step 1).
+    fn narrow_to_i8(&self, src: &[f32], dst: &mut [i8]) {
+        narrow_to_i8(src, dst);
     }
 
-    /// Widens the i8 patch matrix to the i32 GEMM operand (step 2).
-    fn widen_i8_to_i32(&self, src: &[i8], dst: &mut [i32]) {
-        widen_i8_to_i32(src, dst);
+    /// i16 im2col of a narrowed image's channel block (step 2).
+    fn im2col_i16(&self, img: &[i8], c_start: usize, c_len: usize, s: &ConvShape, col: &mut [i16]) {
+        im2col_i16(img, c_start, c_len, s, col);
     }
 
-    /// `C += A · B` over packed weight panels (step 3).
-    fn igemm_into(&self, a: &PackedPanels, b: &[i32], n: usize, c: &mut [i32]) {
-        igemm_into(a, b, n, c);
+    /// `C[s] += A[s] · B` for every bit-split of a row tile (step 3).
+    fn igemm_splits_into(
+        &self,
+        sets: &[&PackedPanels],
+        b: &[i16],
+        n: usize,
+        b_max_abs: i32,
+        c: &mut [i32],
+    ) {
+        igemm_splits_into(sets, b, n, b_max_abs, c);
     }
 
     /// Exact `i32 → f32` psum epilogue (step 4).
@@ -272,8 +281,8 @@ impl ExecBackend for SimdF32 {
     }
 }
 
-/// The integer panel backend: freeze-time repacked `i8` weight panels
-/// driven through `i8×i8→i32` GEMMs with exact `i32→f32` epilogues.
+/// The integer backend: freeze-time packed weight runs driven through the
+/// multi-split `i16`-lane GEMM with exact `i32→f32` epilogues.
 /// Applicable only to integer-eligible layers (the capability probe
 /// replaces the scattered `Option<IntGroupedWeights>` checks it grew out
 /// of).

@@ -153,29 +153,61 @@ pub(crate) fn im2col_image(
     s: &ConvShape,
     col: &mut [f32],
 ) {
-    let (h, w) = (s.in_h, s.in_w);
-    let ohw = s.out_h * s.out_w;
+    im2col_with(img, c_start, c_len, s, col, |v| v);
+}
+
+/// The one im2col loop nest behind every patch matrix (f32, i8 and i16),
+/// mapping each copied element through `cvt`.
+///
+/// For each tap `(ki, kj)` the output rows and columns whose input pixel
+/// lies inside the image form two ranges computed up front, so every
+/// in-bounds output row is a single contiguous (stride 1) or strided copy
+/// with no per-element bounds branch; a tap's block is zero-filled first
+/// only when it reaches into the padding.
+pub(crate) fn im2col_with<S: Copy, D: Copy + Default>(
+    img: &[S],
+    c_start: usize,
+    c_len: usize,
+    s: &ConvShape,
+    col: &mut [D],
+    cvt: impl Fn(S) -> D,
+) {
+    let (h, w, stride, pad) = (s.in_h, s.in_w, s.stride, s.pad);
+    let (out_w, ohw) = (s.out_w, s.out_h * s.out_w);
     debug_assert_eq!(col.len(), c_len * s.kh * s.kw * ohw);
-    for c_local in 0..c_len {
-        let ch = &img[(c_start + c_local) * h * w..(c_start + c_local + 1) * h * w];
-        for ki in 0..s.kh {
-            for kj in 0..s.kw {
-                let row = ((c_local * s.kh + ki) * s.kw + kj) * ohw;
-                for oh in 0..s.out_h {
-                    let ih = (oh * s.stride + ki) as isize - s.pad as isize;
-                    let dst = &mut col[row + oh * s.out_w..row + (oh + 1) * s.out_w];
-                    if ih < 0 || ih as usize >= h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &ch[ih as usize * w..(ih as usize + 1) * w];
-                    for (ow, d) in dst.iter_mut().enumerate() {
-                        let iw = (ow * s.stride + kj) as isize - s.pad as isize;
-                        *d = if iw < 0 || iw as usize >= w {
-                            0.0
-                        } else {
-                            src_row[iw as usize]
-                        };
+    // Outputs `o` of a tap at kernel offset `off` whose input
+    // `o·stride + off − pad` lies inside `[0, len)`.
+    let inside = |off: usize, len: usize, out: usize| {
+        let hi = (len + pad).saturating_sub(off).div_ceil(stride).min(out);
+        pad.saturating_sub(off).div_ceil(stride).min(hi)..hi
+    };
+    for ki in 0..s.kh {
+        let rows = inside(ki, h, s.out_h);
+        for kj in 0..s.kw {
+            let cols = inside(kj, w, out_w);
+            let padded = rows.len() < s.out_h || cols.len() < out_w;
+            for c_local in 0..c_len {
+                let ch = &img[(c_start + c_local) * h * w..][..h * w];
+                let at = ((c_local * s.kh + ki) * s.kw + kj) * ohw;
+                let block = &mut col[at..at + ohw];
+                if padded {
+                    block.fill(D::default());
+                }
+                if cols.is_empty() {
+                    continue;
+                }
+                for oh in rows.clone() {
+                    let ih = oh * stride + ki - pad;
+                    let src = &ch[ih * w + cols.start * stride + kj - pad..(ih + 1) * w];
+                    let dst = &mut block[oh * out_w + cols.start..oh * out_w + cols.end];
+                    if stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d = cvt(v);
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = cvt(v);
+                        }
                     }
                 }
             }
