@@ -1,6 +1,6 @@
 //! **Serving SLO** — open-loop latency/throughput of the `cq-serve`
-//! front-end (bounded queue + SLO-aware batch scheduler + work-stealing
-//! shard pool + multi-model registry) under seeded Poisson-ish request
+//! front-end (bounded queue + SLO-aware batch scheduler + multi-model
+//! registry) under seeded Poisson-ish request
 //! streams, driven through the **owned-session client**: one replay
 //! thread keeps every ticket in flight and multiplexes completions
 //! through a single `CompletionSet::wait_any_timeout` loop (no
@@ -12,11 +12,11 @@
 //! points against two resident models:
 //!
 //! * **underload** — ~60% of calibrated capacity, Block admission, mixed
-//!   `Latency`/`Bulk` classes, sharding enabled;
+//!   `Latency`/`Bulk` classes;
 //! * **overload-fifo** — ~130% of capacity, Reject admission, all-bulk
-//!   FIFO scheduling with sharding off — the PR 3 baseline;
+//!   FIFO scheduling — the PR 3 baseline;
 //! * **overload-slo** — the **same offered load** with 50% latency-class
-//!   tickets (deadlines attached) and sharding enabled, so the artifact
+//!   tickets (deadlines attached), so the artifact
 //!   directly shows the latency-class p99 win over FIFO at equal load;
 //! * **overload-aged** — the identical stream again under
 //!   `SchedulerPolicy::Aging`, so the artifact also shows the bulk
@@ -25,10 +25,9 @@
 //!
 //! Per point it reports p50/p99 submit→complete latency (overall and per
 //! class), deadline-miss rate, achieved images/sec, shed requests, queue
-//! depth, shard-pool counters, and aged promotions. Results are returned
-//! as markdown and written to `BENCH_serving.json`; the sharded/SLO
-//! points are also written to `BENCH_serving_sharded.json` (both
-//! consumed by CI as artifacts). Arrival schedules and inputs are
+//! depth, and aged promotions. Results are returned as markdown and
+//! written to `BENCH_serving.json` (consumed by CI as an artifact).
+//! Arrival schedules and inputs are
 //! seeded; wall-clock numbers vary with the machine, the stream replayed
 //! does not.
 
@@ -79,8 +78,6 @@ pub struct LoadPoint {
     /// `true` = PR 3 FIFO baseline (every request submitted as bulk);
     /// `false` = SLO scheduling with the stream's classes.
     pub fifo: bool,
-    /// Whether batch-segment + row-tile sharding was enabled.
-    pub sharded: bool,
     /// Scheduler policy label ("strict" / "aging").
     pub policy: &'static str,
     /// The aging threshold, when `policy == "aging"`.
@@ -102,10 +99,6 @@ pub struct LoadPoint {
     pub mean_queue_depth: f64,
     /// Peak queue depth.
     pub peak_queue_depth: usize,
-    /// Sweeps split across the work-stealing shard pool.
-    pub sharded_sweeps: u64,
-    /// Shard tasks executed across all workers.
-    pub shards_executed: u64,
     /// Bulk sweeps served ahead of pending latency work by the aging
     /// policy.
     pub aged_promotions: u64,
@@ -200,10 +193,6 @@ pub struct ServingResult {
     pub requests: usize,
     /// Image shape `[C, H, W]`.
     pub image: [usize; 3],
-    /// Max rows per batch-segment shard at sharded points.
-    pub shard_rows: usize,
-    /// Row-tile shards per frozen conv at sharded points.
-    pub row_tile_shards: usize,
     /// Closed-loop capacity the load points are scaled from.
     pub calibrated_ips: f64,
     /// The measured offered-load points.
@@ -231,11 +220,10 @@ fn point_json(p: &LoadPoint) -> String {
         .map(|kind| {
             let b = &p.backends[kind.index()];
             format!(
-                "{{\"backend\": \"{}\", \"sweeps\": {}, \"shards\": {}, \
+                "{{\"backend\": \"{}\", \"sweeps\": {}, \
                  \"images\": {}, \"active_layers\": {}}}",
                 kind.name(),
                 b.sweeps,
-                b.shards,
                 b.images,
                 b.active_layers
             )
@@ -244,13 +232,12 @@ fn point_json(p: &LoadPoint) -> String {
         .join(", ");
     format!(
         "    {{\"label\": \"{}\", \"admission\": \"{}\", \"offered_rps\": {:.3}, \
-         \"latency_fraction\": {:.2}, \"scheduling\": \"{}\", \"sharded\": {}, \
+         \"latency_fraction\": {:.2}, \"scheduling\": \"{}\", \
          \"policy\": \"{}\", \"bulk_max_age_ms\": {}, \
          \"completed\": {}, \"rejected\": {}, \"images_per_sec\": {:.3}, \
          \"p50_latency_ms\": {:.3}, \"p99_latency_ms\": {:.3}, \
          \"deadline_miss_rate\": {:.4}, \
          \"mean_queue_depth\": {:.3}, \"peak_queue_depth\": {}, \
-         \"sharded_sweeps\": {}, \"shards_executed\": {}, \
          \"aged_promotions\": {}, \
          \"backends\": [{}], \
          \"classes\": [{}]}}",
@@ -262,7 +249,6 @@ fn point_json(p: &LoadPoint) -> String {
         p.offered_rps,
         p.latency_fraction,
         if p.fifo { "fifo" } else { "slo" },
-        p.sharded,
         p.policy,
         p.bulk_max_age_ms
             .map_or("null".to_string(), |ms| format!("{ms:.3}")),
@@ -274,8 +260,6 @@ fn point_json(p: &LoadPoint) -> String {
         p.deadline_miss_rate,
         p.mean_queue_depth,
         p.peak_queue_depth,
-        p.sharded_sweeps,
-        p.shards_executed,
         p.aged_promotions,
         backends,
         classes
@@ -336,9 +320,8 @@ fn churn_json(c: &ChurnPoint) -> String {
 
 impl ServingResult {
     /// Renders the machine-readable report (hand-rolled JSON; the
-    /// workspace is dependency-free). `points` selects a subset by label
-    /// (`None` = all).
-    fn json_for(&self, points: Option<&[&str]>) -> String {
+    /// workspace is dependency-free).
+    pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
         s.push_str(&format!("  \"threads\": {},\n", self.threads));
@@ -349,34 +332,23 @@ impl ServingResult {
             "  \"image\": [{}, {}, {}],\n",
             self.image[0], self.image[1], self.image[2]
         ));
-        s.push_str(&format!("  \"shard_rows\": {},\n", self.shard_rows));
-        s.push_str(&format!(
-            "  \"row_tile_shards\": {},\n",
-            self.row_tile_shards
-        ));
         s.push_str(&format!(
             "  \"calibrated_images_per_sec\": {:.3},\n",
             self.calibrated_ips
         ));
         s.push_str("  \"points\": [\n");
-        let selected: Vec<&LoadPoint> = self
-            .points
-            .iter()
-            .filter(|p| points.map_or(true, |ls| ls.contains(&p.label)))
-            .collect();
-        for (i, p) in selected.iter().enumerate() {
+        for (i, p) in self.points.iter().enumerate() {
             s.push_str(&point_json(p));
-            s.push_str(if i + 1 < selected.len() { ",\n" } else { "\n" });
+            s.push_str(if i + 1 < self.points.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         s.push_str("  ],\n");
         s.push_str(&churn_json(&self.churn));
         s.push_str("\n}\n");
         s
-    }
-
-    /// The full machine-readable report.
-    pub fn to_json(&self) -> String {
-        self.json_for(None)
     }
 }
 
@@ -490,22 +462,19 @@ pub fn measure(scale: Scale) -> ServingResult {
         Scale::Full => 192,
     };
     let workers = 2;
-    let (shard_rows, row_tile_shards) = (4usize, 2usize);
 
     let mut registry = ModelRegistry::new();
     let ids = vec![
         registry.register("resnet-a", build_model(&setting, 501)),
         registry.register("resnet-b", build_model(&setting, 503)),
     ];
-    let cfg = |admission: Admission, sharded: bool, policy: SchedulerPolicy| {
+    let cfg = |admission: Admission, policy: SchedulerPolicy| {
         ServeConfig::builder()
             .queue_capacity(32)
             .admission(admission)
             .max_batch(Some(8))
             .max_wait(Duration::from_micros(500))
             .workers(workers)
-            .shard_rows(sharded.then_some(shard_rows))
-            .row_tile_shards(sharded.then_some(row_tile_shards))
             .policy(policy)
             .build()
             .expect("valid serve config")
@@ -530,11 +499,7 @@ pub fn measure(scale: Scale) -> ServingResult {
         .iter()
         .map(|_| rng.normal_tensor(&[1, c, hw, hw], 1.0).map(|v| v.max(0.0)))
         .collect();
-    let session = CimServer::new(
-        registry,
-        cfg(Admission::Block, false, SchedulerPolicy::Strict),
-    )
-    .start();
+    let session = CimServer::new(registry, cfg(Admission::Block, SchedulerPolicy::Strict)).start();
     let (_, cal_span) = replay(&session, &ids, &cal_stream, &cal_inputs, None, true);
     let (cal_stats, mut models): (ServeStats, _) = session.shutdown();
     let calibrated_ips = cal_stats.rows_swept as f64 / cal_span.as_secs_f64().max(1e-9);
@@ -547,17 +512,16 @@ pub fn measure(scale: Scale) -> ServingResult {
     let bulk_max_age = 2 * deadline;
 
     let mut points = Vec::new();
-    for (label, factor, admission, fifo, sharded, policy, seed) in [
+    for (label, factor, admission, fifo, policy, seed) in [
         (
             "underload",
             0.6,
             Admission::Block,
             false,
-            true,
             SchedulerPolicy::Strict,
             520u64,
         ),
-        // The PR 3 baseline, the SLO/sharded run, and the aged run replay
+        // The PR 3 baseline, the SLO run, and the aged run replay
         // the IDENTICAL request stream (same seed, same arrivals, same
         // batch sizes, same would-be classes) at the same offered load —
         // only the scheduling differs — so the latency-class p99 (and the
@@ -567,7 +531,6 @@ pub fn measure(scale: Scale) -> ServingResult {
             1.3,
             Admission::Reject,
             true,
-            false,
             SchedulerPolicy::Strict,
             530,
         ),
@@ -576,7 +539,6 @@ pub fn measure(scale: Scale) -> ServingResult {
             1.3,
             Admission::Reject,
             false,
-            true,
             SchedulerPolicy::Strict,
             530,
         ),
@@ -585,7 +547,6 @@ pub fn measure(scale: Scale) -> ServingResult {
             1.3,
             Admission::Reject,
             false,
-            true,
             SchedulerPolicy::Aging { bulk_max_age },
             530,
         ),
@@ -594,8 +555,7 @@ pub fn measure(scale: Scale) -> ServingResult {
         let offered_rps = (calibrated_ips * factor).max(1.0);
         // Mostly single-image requests with an occasional 6-image burst:
         // the bursts create the head-of-line blocking that priority
-        // scheduling exists to cut through, and (at > shard_rows rows)
-        // exercise the work-stealing shard pool.
+        // scheduling exists to cut through.
         let stream = StreamSpec {
             rate_rps: offered_rps,
             requests,
@@ -614,11 +574,8 @@ pub fn measure(scale: Scale) -> ServingResult {
                     .map(|v| v.max(0.0))
             })
             .collect();
-        let session = CimServer::new(
-            ModelRegistry::from_models(models),
-            cfg(admission, sharded, policy),
-        )
-        .start();
+        let session =
+            CimServer::new(ModelRegistry::from_models(models), cfg(admission, policy)).start();
         let (outcomes, span) = replay(&session, &ids, &stream, &inputs, Some(deadline), fifo);
         let (stats, returned) = session.shutdown();
         models = returned;
@@ -651,7 +608,6 @@ pub fn measure(scale: Scale) -> ServingResult {
             offered_rps,
             latency_fraction,
             fifo,
-            sharded,
             policy: match policy {
                 SchedulerPolicy::Strict => "strict",
                 SchedulerPolicy::Aging { .. } => "aging",
@@ -669,8 +625,6 @@ pub fn measure(scale: Scale) -> ServingResult {
             },
             mean_queue_depth: stats.mean_queue_depth,
             peak_queue_depth: stats.peak_queue_depth,
-            sharded_sweeps: stats.sharded_sweeps,
-            shards_executed: stats.shards_executed,
             aged_promotions: stats.aged_promotions,
             backends: stats.backends,
             classes,
@@ -686,8 +640,6 @@ pub fn measure(scale: Scale) -> ServingResult {
         models: 2,
         requests,
         image: [c, hw, hw],
-        shard_rows,
-        row_tile_shards,
         calibrated_ips,
         points,
         churn,
@@ -847,18 +799,11 @@ fn measure_churn(
     }
 }
 
-/// Runs the experiment, writes `BENCH_serving.json` and
-/// `BENCH_serving_sharded.json`, and returns the markdown report.
+/// Runs the experiment, writes `BENCH_serving.json`, and returns the
+/// markdown report.
 pub fn run(scale: Scale) -> String {
     let r = measure(scale);
     std::fs::write("BENCH_serving.json", r.to_json()).expect("write BENCH_serving.json");
-    // The sharded/SLO points as their own artifact, uploaded next to the
-    // full report so the shard-enabled runs are directly diffable.
-    std::fs::write(
-        "BENCH_serving_sharded.json",
-        r.json_for(Some(&["underload", "overload-slo", "overload-aged"])),
-    )
-    .expect("write BENCH_serving_sharded.json");
 
     let class_cell = |p: &LoadPoint, name: &str| {
         p.classes
@@ -883,7 +828,6 @@ pub fn run(scale: Scale) -> String {
                 class_cell(p, "latency"),
                 class_cell(p, "bulk"),
                 format!("{:.1}%", p.deadline_miss_rate * 100.0),
-                format!("{}/{}", p.sharded_sweeps, p.shards_executed),
                 format!("{}", p.aged_promotions),
                 format!("{:.1} / {}", p.mean_queue_depth, p.peak_queue_depth),
             ]
@@ -891,13 +835,12 @@ pub fn run(scale: Scale) -> String {
         .collect();
     let mut out = String::from(
         "## Serving SLO — open-loop load against the cq-serve front-end \
-         (priority classes + aging + sharding, multiplexed session client)\n\n",
+         (priority classes + aging, multiplexed session client)\n\n",
     );
     out.push_str(&format!(
         "{} requests per point over {} resident models ({}×{}×{} images), \
-         {} workers, {} kernel threads, closed-loop capacity {:.1} images/sec; \
-         sharded points split sweeps into ≤{}-row segments with {} row-tile \
-         shards per conv ({:?} scale). One client thread replays each point \
+         {} workers, {} kernel threads, closed-loop capacity {:.1} images/sec \
+         ({:?} scale). One client thread replays each point \
          through an owned `ServeSession`, multiplexing every in-flight ticket \
          with `CompletionSet::wait_any` (all waits bounded). The three \
          `overload-*` points replay the same offered load, so the \
@@ -911,8 +854,6 @@ pub fn run(scale: Scale) -> String {
         r.workers,
         r.threads,
         r.calibrated_ips,
-        r.shard_rows,
-        r.row_tile_shards,
         r.scale
     ));
     out.push_str(&markdown_table(
@@ -927,7 +868,6 @@ pub fn run(scale: Scale) -> String {
             "latency p50/p99 ms",
             "bulk p50/p99 ms",
             "miss rate",
-            "sharded sweeps/shards",
             "aged",
             "queue depth (mean/peak)",
         ],
@@ -955,11 +895,11 @@ pub fn run(scale: Scale) -> String {
         ch.hist_p99_us,
     ));
     out.push_str(
-        "\nEvery served output — including sharded sweeps, hot-swapped \
+        "\nEvery served output — including coalesced sweeps, hot-swapped \
          models, and every ticket resolution path — is bit-identical to \
          the direct `PreparedCimModel::infer` result (pinned by `cq-serve` \
          tests and the `sharded_equivalence` matrix); the numbers above are \
-         written to `BENCH_serving.json` and `BENCH_serving_sharded.json`.\n",
+         written to `BENCH_serving.json`.\n",
     );
     out
 }

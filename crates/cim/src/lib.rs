@@ -21,11 +21,9 @@
 //!   ordered fallback chain of execution backends (scalar reference,
 //!   blocked f32, the integer multi-split GEMM over freeze-time packed
 //!   [`IntGroupedWeights`]) against each layer's capability profile, all
-//!   bit-identical where applicable.
-//! * [`ShardPlan`] — contiguous partitioning of row tiles (or batch rows)
-//!   behind the bit-exact sharded execution paths: shards compute
-//!   independent partial-sum blocks that are scattered — never re-summed —
-//!   back into the canonical layout before the fixed-order accumulation.
+//!   bit-identical where applicable. The psum front-end splits each
+//!   sweep into (batch element × row tile) items on the shared
+//!   [`cq_tensor::exec`] pool; there is no separate sharding mechanism.
 //! * [`dequant_mults`] / [`overhead_class`] — the dequantization-overhead
 //!   model behind the paper's Fig. 8.
 //! * [`apply_lognormal`] — the Eq. (5) memory-cell variation model.
@@ -53,7 +51,6 @@ mod engine;
 mod overhead;
 mod pipeline;
 mod prepared;
-mod shard;
 mod tiling;
 mod variation;
 
@@ -72,6 +69,5 @@ pub use pipeline::{
     PerturbedDigitizer, PsumPipeline,
 };
 pub use prepared::PreparedConv;
-pub use shard::ShardPlan;
 pub use tiling::TilingPlan;
 pub use variation::{apply_lognormal, apply_lognormal_in_place, FIG10_SIGMAS};

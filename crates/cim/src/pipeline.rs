@@ -26,7 +26,7 @@
 //! kernels; per-task integer scratch comes from the executing worker's
 //! [`cq_tensor::arena`].
 
-use crate::{Adc, Crossbar, ShardPlan, TilingPlan};
+use crate::{Adc, Crossbar, TilingPlan};
 use cq_quant::BitSplit;
 use cq_tensor::{
     arena, conv2d_grouped, conv_out_dim, exec, threads_for, ConvShape, CqRng, ExecBackend,
@@ -535,13 +535,12 @@ impl PsumPipeline {
         ]
     }
 
-    /// The integer twin of [`PsumPipeline::grouped_psums_into`], also
-    /// covering the shard case of
-    /// [`PsumPipeline::grouped_psums_shard_into`]: computes the partial
-    /// sums of row tiles `tiles` from activations `a` (`[B, len·c_pa, H,
-    /// W]` — the full padded tensor when `tiles` spans the plan, or a
-    /// [`PsumPipeline::slice_padded_row_tiles`] block) with the integer
-    /// kernels, writing exact `i32→f32` conversions into `psums`.
+    /// The integer twin of [`PsumPipeline::grouped_psums_into`]: computes
+    /// the partial sums of row tiles `tiles` from activations `a`
+    /// (`[B, len·c_pa, H, W]`, holding exactly those tiles' channel blocks;
+    /// serving passes the full padded tensor with `0..num_row_tiles`)
+    /// with the integer kernels, writing exact `i32→f32` conversions into
+    /// `psums`.
     ///
     /// Per (image, row tile) the channel block is narrowed to i8 once, its
     /// im2col patch matrix is built once in i16 lanes, and **one** GEMM
@@ -572,7 +571,7 @@ impl PsumPipeline {
         assert_eq!(int_weights.len(), p.num_splits, "one weight set per split");
         assert!(
             tiles.start < tiles.end && tiles.end <= p.num_row_tiles,
-            "row-tile shard {tiles:?} out of range"
+            "row-tile range {tiles:?} out of range"
         );
         let groups = tiles.len();
         let shape = self.psum_shape(a, groups);
@@ -655,148 +654,6 @@ impl PsumPipeline {
                 });
             }
         });
-    }
-
-    // ---- row-tile sharding: shardable front-end entry points -----------
-
-    /// Slices the grouped-weight rows of row tiles `tiles` out of every
-    /// per-split tensor produced by
-    /// [`PsumPipeline::split_grouped_weights`]: each returned tensor is the
-    /// contiguous `[len·OC, c_pa, K, K]` block of the shard's groups.
-    /// Typically called once at freeze time so sharded serving does no
-    /// per-call weight copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles` is out of range or `grouped_weights` disagrees
-    /// with the plan.
-    pub fn shard_grouped_weights(
-        &self,
-        grouped_weights: &[Tensor],
-        tiles: Range<usize>,
-    ) -> Vec<Tensor> {
-        let p = &self.plan;
-        assert!(
-            tiles.start < tiles.end && tiles.end <= p.num_row_tiles,
-            "row-tile shard {tiles:?} out of range"
-        );
-        assert_eq!(
-            grouped_weights.len(),
-            p.num_splits,
-            "one weight set per split"
-        );
-        grouped_weights
-            .iter()
-            .map(|wg| wg.slice_outer(tiles.start * p.out_ch, tiles.end * p.out_ch))
-            .collect()
-    }
-
-    /// Copies the padded-activation channel block of row tiles `tiles` out
-    /// of `a_pad` (`[B, G·c_pa, H, W]`) into `out`
-    /// (`[B, len·c_pa, H, W]`, reallocated on shape change).
-    pub fn slice_padded_row_tiles(&self, a_pad: &Tensor, tiles: Range<usize>, out: &mut Tensor) {
-        let p = &self.plan;
-        assert!(
-            tiles.start < tiles.end && tiles.end <= p.num_row_tiles,
-            "row-tile shard {tiles:?} out of range"
-        );
-        let (b, h, w) = (a_pad.dim(0), a_pad.dim(2), a_pad.dim(3));
-        assert_eq!(a_pad.dim(1), p.padded_in_ch, "padded channels vs plan");
-        let hw = h * w;
-        let (c_shard, c_full) = (tiles.len() * p.ch_per_array, p.padded_in_ch);
-        let shape = [b, c_shard, h, w];
-        if out.shape() != shape {
-            *out = Tensor::zeros(&shape);
-        }
-        let src0 = tiles.start * p.ch_per_array * hw;
-        for bi in 0..b {
-            out.data_mut()[bi * c_shard * hw..(bi + 1) * c_shard * hw]
-                .copy_from_slice(&a_pad.data()[bi * c_full * hw + src0..][..c_shard * hw]);
-        }
-    }
-
-    /// Computes the integer partial sums of row tiles `tiles` **only**
-    /// (`[B, len·OC, OH, OW]` per split, written into `psums`), from the
-    /// pre-sliced shard activations and weights, on the f32 conv kernel of
-    /// the shard's assigned `backend`. Group convolutions treat groups
-    /// independently, so every value is bit-identical to the corresponding
-    /// channel block of [`PsumPipeline::grouped_psums`].
-    pub fn grouped_psums_shard_into(
-        &self,
-        backend: &dyn ExecBackend,
-        a_shard: &Tensor,
-        shard_weights: &[Tensor],
-        tiles: Range<usize>,
-        psums: &mut Vec<Tensor>,
-        col: &mut Vec<f32>,
-    ) {
-        assert_eq!(
-            shard_weights.len(),
-            self.plan.num_splits,
-            "one weight set per split"
-        );
-        let shape = self.psum_shape(a_shard, tiles.len());
-        psums.resize_with(self.plan.num_splits, || Tensor::zeros(&shape));
-        for (wg, ps) in shard_weights.iter().zip(psums.iter_mut()) {
-            backend.conv_grouped_into(a_shard, wg, self.stride, self.pad, tiles.len(), ps, col);
-            debug_assert_eq!(ps.shape(), shape, "per-split shard psum shape vs plan");
-        }
-    }
-
-    /// Scatters one shard's partial sums back into the full per-split
-    /// tensors — the **bit-exact rejoin**: shard contributions are copied
-    /// (never re-summed) into their canonical channel blocks, so the
-    /// subsequent [`PsumPipeline::accumulate`] runs in exactly the
-    /// unsharded operation order regardless of shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree with the plan or `tiles`.
-    pub fn scatter_psum_shard(
-        &self,
-        shard_psums: &[Tensor],
-        tiles: Range<usize>,
-        psums: &mut [Tensor],
-    ) {
-        let p = &self.plan;
-        assert_eq!(shard_psums.len(), p.num_splits, "one psum tensor per split");
-        assert_eq!(psums.len(), p.num_splits, "one psum tensor per split");
-        for (sp, full) in shard_psums.iter().zip(psums.iter_mut()) {
-            let (b, oh, ow) = (sp.dim(0), sp.dim(2), sp.dim(3));
-            assert_eq!(sp.dim(1), tiles.len() * p.out_ch, "shard channels vs tiles");
-            assert_eq!(
-                full.shape(),
-                &[b, p.num_row_tiles * p.out_ch, oh, ow],
-                "full psum shape vs plan"
-            );
-            let inner = oh * ow;
-            let (blk, full_blk) = (
-                tiles.len() * p.out_ch * inner,
-                p.num_row_tiles * p.out_ch * inner,
-            );
-            let dst0 = tiles.start * p.out_ch * inner;
-            for bi in 0..b {
-                full.data_mut()[bi * full_blk + dst0..][..blk]
-                    .copy_from_slice(&sp.data()[bi * blk..(bi + 1) * blk]);
-            }
-        }
-    }
-
-    /// Pre-computes the per-shard weight slices of a row-tile [`ShardPlan`]
-    /// (outer index: shard; inner: split).
-    pub fn shard_weight_sets(
-        &self,
-        grouped_weights: &[Tensor],
-        plan: &ShardPlan,
-    ) -> Vec<Vec<Tensor>> {
-        assert_eq!(
-            plan.num_items(),
-            self.plan.num_row_tiles,
-            "shard plan vs row tiles"
-        );
-        plan.iter()
-            .map(|tiles| self.shard_grouped_weights(grouped_weights, tiles))
-            .collect()
     }
 
     /// Computes every split's integer partial sums `[B, G·OC, OH, OW]` by
@@ -1178,7 +1035,7 @@ mod tests {
     }
 
     /// The integer panel front-end must match the f32 grouped convolution
-    /// bit-for-bit, for the full plan and for every row-tile shard, on
+    /// bit-for-bit, for the full plan and for every single row tile, on
     /// dirty reused buffers.
     #[test]
     fn integer_psums_match_f32_path() {
@@ -1218,19 +1075,17 @@ mod tests {
             &mut psums,
         );
         assert_eq!(psums, want, "dirty-scratch call diverged");
-        // Every single-tile shard must equal its channel block.
-        let mut a_shard = Tensor::zeros(&[1]);
+        // Every single tile's psums must equal its channel block.
+        let tile = p.ch_per_array * 36;
         for g in 0..p.num_row_tiles {
-            pl.slice_padded_row_tiles(&a_pad, g..g + 1, &mut a_shard);
-            let mut shard_psums = Vec::new();
-            pl.grouped_psums_int_into(
-                &IntPanels,
-                &a_shard,
-                &int_weights,
-                g..g + 1,
-                &mut shard_psums,
-            );
-            for (sp, full) in shard_psums.iter().zip(&want) {
+            let mut a_tile = Tensor::zeros(&[2, p.ch_per_array, 6, 6]);
+            for bi in 0..2 {
+                a_tile.data_mut()[bi * tile..(bi + 1) * tile]
+                    .copy_from_slice(&a_pad.data()[bi * pchw + g * tile..][..tile]);
+            }
+            let mut tile_psums = Vec::new();
+            pl.grouped_psums_int_into(&IntPanels, &a_tile, &int_weights, g..g + 1, &mut tile_psums);
+            for (sp, full) in tile_psums.iter().zip(&want) {
                 let inner = 36;
                 let blk = p.out_ch * inner;
                 let full_blk = p.num_row_tiles * p.out_ch * inner;
@@ -1238,7 +1093,7 @@ mod tests {
                     assert_eq!(
                         &sp.data()[bi * blk..(bi + 1) * blk],
                         &full.data()[bi * full_blk + g * blk..bi * full_blk + (g + 1) * blk],
-                        "shard {g} psums differ"
+                        "tile {g} psums differ"
                     );
                 }
             }

@@ -16,38 +16,27 @@
 //!
 //! Sweeps execute on a pluggable [`ExecBackend`] resolved from a
 //! [`BackendSet`] fallback chain against the layer's [`ConvProfile`]
-//! (capability probe); row-tile shards of a [`ShardPlan`] all run on that
-//! resolved backend. All backends are bit-identical, so the choice is
-//! purely about speed.
+//! (capability probe). All backends are bit-identical, so the choice is
+//! purely about speed. There is no layer-level sharding: the psum
+//! front-end and the kernels split their own work over the shared
+//! [`cq_tensor::exec`] pool (the integer front-end as (batch element ×
+//! row tile) items).
 //!
 //! Per-call intermediates (the quantized and channel-padded activations,
-//! per-split partial sums, the im2col matrix, shard slices) are checked out
+//! per-split partial sums, the im2col matrix) are checked out
 //! of the executing thread's [`cq_tensor::arena`], so a steady-state
 //! serving loop allocates only its output tensors — one arena per worker
 //! instead of the old per-layer scratch pools that multiplied across
 //! layers × workers × models.
 
 use crate::pipeline::IntGroupedWeights;
-use crate::{
-    Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumPipeline, QuantizedConv, ShardPlan,
-};
+use crate::{Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumPipeline, QuantizedConv};
 use cq_quant::{GroupLayout, LsqQuantizer};
 use cq_tensor::{
-    arena, conv_out_dim, exec, BackendError, BackendKind, BackendSet, ConvProfile, ConvShape,
+    arena, conv_out_dim, BackendError, BackendKind, BackendSet, ConvProfile, ConvShape,
     ExecBackend, Tensor,
 };
 use std::sync::Arc;
-
-/// Row-tile shard execution state: the shard plan plus each shard's
-/// freeze-time weight artifacts for the resolved backend — per-split
-/// contiguous `[len·OC, c_pa, K, K]` f32 slices, or nothing when the
-/// backend is integer (it indexes the layer's full panel sets by tile
-/// range instead).
-#[derive(Debug, Clone)]
-struct ShardExec {
-    plan: ShardPlan,
-    weights: Vec<Vec<Tensor>>,
-}
 
 /// A quantized convolution frozen for inference: weights quantized,
 /// bit-split, and grouped once; every serve drives the shared
@@ -69,13 +58,10 @@ pub struct PreparedConv {
     profile: ConvProfile,
     /// The configured fallback chain.
     backends: BackendSet,
-    /// The resolved backend every sweep and shard runs on.
+    /// The resolved backend every sweep runs on.
     active: Arc<dyn ExecBackend>,
     adc: Adc,
     a_quant: LsqQuantizer,
-    /// Row-tile sharded front-end, when enabled (see
-    /// [`PreparedConv::set_row_tile_shards`]).
-    shard: Option<ShardExec>,
 }
 
 impl PreparedConv {
@@ -142,15 +128,13 @@ impl PreparedConv {
             adc,
             a_quant,
             desc,
-            shard: None,
         }
     }
 
     /// Selects the execution-backend fallback chain: the layer resolves
     /// (and whole sweeps run on) the first chain entry whose capability
-    /// probe accepts this layer's [`ConvProfile`]. Any active row-tile
-    /// shard state is rebuilt for the newly resolved backend. All
-    /// backends are bit-identical, so the choice is purely speed.
+    /// probe accepts this layer's [`ConvProfile`]. All backends are
+    /// bit-identical, so the choice is purely speed.
     ///
     /// # Errors
     ///
@@ -162,9 +146,6 @@ impl PreparedConv {
             .resolve(&self.profile)
             .ok_or_else(|| BackendError::NoBackend(backends.kinds()))?;
         self.backends = backends;
-        if let Some(plan) = self.shard.take().map(|se| se.plan) {
-            self.shard = Some(self.build_shard_exec(plan));
-        }
         Ok(())
     }
 
@@ -173,7 +154,7 @@ impl PreparedConv {
         &self.backends
     }
 
-    /// The resolved backend every sweep and shard runs on.
+    /// The resolved backend every sweep runs on.
     pub fn active_backend(&self) -> BackendKind {
         self.active.kind()
     }
@@ -187,54 +168,6 @@ impl PreparedConv {
     /// (the resolved backend runs the integer chain).
     pub fn integer_kernel_active(&self) -> bool {
         self.active.integer()
-    }
-
-    /// Enables (or disables, with `None`/`Some(1)`) **row-tile sharding**:
-    /// the grouped-conv front-end is split into up to `shards` independent
-    /// row-tile shards that execute as tasks on the shared
-    /// [`cq_tensor::exec`] pool and are rejoined by exact scatter before
-    /// the canonical fixed-order reduce — outputs are **bit-identical**
-    /// to the unsharded path for every shard count (counts larger than
-    /// the number of row tiles are clamped). Every shard runs on the
-    /// layer's resolved backend. Per-shard weight slices are cut once
-    /// here, so serving does no per-call weight copying.
-    ///
-    /// Shard tasks and the kernels they call all run on the one
-    /// `CQ_THREADS`-capped pool (nested scopes lend their caller to the
-    /// queue instead of spawning), so total parallelism never exceeds
-    /// `CQ_THREADS` no matter how many shards are configured — no
-    /// multiplicative thread budgeting needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == Some(0)`.
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        assert!(shards != Some(0), "shard count must be positive");
-        self.shard = shards.and_then(|n| {
-            let plan = ShardPlan::split(self.desc.plan.num_row_tiles, n);
-            (!plan.is_trivial()).then(|| self.build_shard_exec(plan))
-        });
-    }
-
-    /// Cuts each shard's weight artifacts for the resolved backend.
-    fn build_shard_exec(&self, plan: ShardPlan) -> ShardExec {
-        let weights = if self.active.integer() {
-            Vec::new()
-        } else {
-            plan.iter()
-                .map(|tiles| {
-                    self.pipeline
-                        .shard_grouped_weights(&self.grouped_weights, tiles)
-                })
-                .collect()
-        };
-        ShardExec { plan, weights }
-    }
-
-    /// The effective row-tile shard count (1 when sharding is off or the
-    /// layer has a single row tile).
-    pub fn row_tile_shards(&self) -> usize {
-        self.shard.as_ref().map_or(1, |s| s.plan.num_shards())
     }
 
     /// The frozen layer description.
@@ -280,8 +213,7 @@ impl PreparedConv {
     }
 
     /// The shared serving body: pad channels, sweep the grouped conv on
-    /// the resolved backend (whole, or as independent per-backend row-tile
-    /// shards rejoined by exact scatter), digitize and reduce.
+    /// the resolved backend, digitize and reduce.
     fn run(&self, a_int: &Tensor) -> Tensor {
         let p = &self.desc.plan;
         let (b, h, w) = (a_int.dim(0), a_int.dim(2), a_int.dim(3));
@@ -294,39 +226,35 @@ impl PreparedConv {
             .map(|_| arena::take_tensor(&shape))
             .collect();
         let tiles = p.num_row_tiles;
-        match &self.shard {
-            Some(se) => self.sharded_psums(se, &a_pad, &mut psums),
-            None if self.active.integer() => {
-                let iw = self
-                    .int_weights
-                    .as_deref()
-                    .expect("integer backend resolved without panels");
-                self.pipeline.grouped_psums_int_into(
-                    self.active.as_ref(),
-                    &a_pad,
-                    iw,
-                    0..tiles,
-                    &mut psums,
-                );
-            }
-            None => {
-                let s = ConvShape::new(
-                    a_pad.shape(),
-                    &[tiles * p.out_ch, p.ch_per_array, p.kh, p.kw],
-                    self.desc.stride,
-                    self.desc.pad,
-                    tiles,
-                );
-                let mut col = arena::take_f32(s.col_rows() * s.col_cols());
-                self.pipeline.grouped_psums_into(
-                    self.active.as_ref(),
-                    &a_pad,
-                    &self.grouped_weights,
-                    &mut psums,
-                    &mut col,
-                );
-                arena::put_f32(col);
-            }
+        if self.active.integer() {
+            let iw = self
+                .int_weights
+                .as_deref()
+                .expect("integer backend resolved without panels");
+            self.pipeline.grouped_psums_int_into(
+                self.active.as_ref(),
+                &a_pad,
+                iw,
+                0..tiles,
+                &mut psums,
+            );
+        } else {
+            let s = ConvShape::new(
+                a_pad.shape(),
+                &[tiles * p.out_ch, p.ch_per_array, p.kh, p.kw],
+                self.desc.stride,
+                self.desc.pad,
+                tiles,
+            );
+            let mut col = arena::take_f32(s.col_rows() * s.col_cols());
+            self.pipeline.grouped_psums_into(
+                self.active.as_ref(),
+                &a_pad,
+                &self.grouped_weights,
+                &mut psums,
+                &mut col,
+            );
+            arena::put_f32(col);
         }
         let y = if self.desc.psum_quant {
             let dig = AdcDigitizer::new(self.adc, &self.desc.psum_scales, &self.desc.plan);
@@ -344,93 +272,6 @@ impl PreparedConv {
         }
         arena::put_tensor(a_pad);
         y
-    }
-
-    /// Row-tile sharded front-end: every shard computes its groups'
-    /// partial sums on the resolved backend as an executor task (shard
-    /// scratch from the executing worker's arena) and scatters them —
-    /// exact copies, never re-summed — straight into its pre-split blocks
-    /// of the full per-split tensors, so the subsequent reduce runs in the
-    /// canonical unsharded operation order.
-    fn sharded_psums(&self, se: &ShardExec, a_pad: &Tensor, psums: &mut [Tensor]) {
-        let p = &self.desc.plan;
-        let int_weights = self.int_weights.as_deref();
-        let (b, h, w) = (a_pad.dim(0), a_pad.dim(2), a_pad.dim(3));
-        let oh = conv_out_dim(h, p.kh, self.desc.stride, self.desc.pad);
-        let ow = conv_out_dim(w, p.kw, self.desc.stride, self.desc.pad);
-        let inner = oh * ow;
-        let n_shards = se.plan.num_shards();
-        // Pre-split every full per-split tensor into its (batch element ×
-        // shard) destination blocks, so each shard task owns the disjoint
-        // canonical-layout slices it rejoins into.
-        let mut dst: Vec<Vec<Vec<&mut [f32]>>> = (0..n_shards)
-            .map(|_| (0..p.num_splits).map(|_| Vec::with_capacity(b)).collect())
-            .collect();
-        for (s, ps) in psums.iter_mut().enumerate() {
-            let mut rest: &mut [f32] = ps.data_mut();
-            for _bi in 0..b {
-                for (sh, tiles) in se.plan.iter().enumerate() {
-                    let blk = tiles.len() * p.out_ch * inner;
-                    let (head, tail) = rest.split_at_mut(blk);
-                    dst[sh][s].push(head);
-                    rest = tail;
-                }
-            }
-            debug_assert!(rest.is_empty(), "shard blocks must tile the psum tensor");
-        }
-        let backend = self.active.as_ref();
-        exec::scope(|sc| {
-            for (sh, (tiles, mut task_dst)) in se.plan.iter().zip(dst).enumerate() {
-                let pipeline = &self.pipeline;
-                let desc = &self.desc;
-                sc.spawn(move || {
-                    let len = tiles.len();
-                    let mut a_shard = arena::take_tensor(&[b, len * p.ch_per_array, h, w]);
-                    pipeline.slice_padded_row_tiles(a_pad, tiles.clone(), &mut a_shard);
-                    let mut sps: Vec<Tensor> = (0..p.num_splits)
-                        .map(|_| arena::take_tensor(&[b, len * p.out_ch, oh, ow]))
-                        .collect();
-                    if backend.integer() {
-                        let iw = int_weights.expect("integer backend resolved without panels");
-                        pipeline.grouped_psums_int_into(
-                            backend,
-                            &a_shard,
-                            iw,
-                            tiles.clone(),
-                            &mut sps,
-                        );
-                    } else {
-                        let s = ConvShape::new(
-                            a_shard.shape(),
-                            &[len * p.out_ch, p.ch_per_array, p.kh, p.kw],
-                            desc.stride,
-                            desc.pad,
-                            len,
-                        );
-                        let mut col = arena::take_f32(s.col_rows() * s.col_cols());
-                        pipeline.grouped_psums_shard_into(
-                            backend,
-                            &a_shard,
-                            &se.weights[sh],
-                            tiles.clone(),
-                            &mut sps,
-                            &mut col,
-                        );
-                        arena::put_f32(col);
-                    }
-                    let blk = len * p.out_ch * inner;
-                    for (sp, d) in sps.iter().zip(task_dst.iter_mut()) {
-                        for (bi, db) in d.iter_mut().enumerate() {
-                            db.copy_from_slice(&sp.data()[bi * blk..(bi + 1) * blk]);
-                        }
-                    }
-                    for t in sps {
-                        arena::put_tensor(t);
-                    }
-                    arena::put_tensor(a_shard);
-                });
-            }
-        });
     }
 }
 
@@ -490,8 +331,7 @@ mod tests {
 
     /// Hybrid (ADC-less low-split) digitization stays bit-identical
     /// between the prepared path and the crossbar engine, across every
-    /// backend and under row-tile sharding, while differing from the
-    /// pure-ADC path.
+    /// backend, while differing from the pure-ADC path.
     #[test]
     fn hybrid_digitization_is_bit_exact_across_paths() {
         let mut desc = small_desc(true);
@@ -508,13 +348,10 @@ mod tests {
         let mut scalar = PreparedConv::new(desc.clone());
         scalar.set_backends(BackendSet::scalar()).unwrap();
         assert_eq!(scalar.infer(&x), want, "scalar backend");
-        let mut int_forced = PreparedConv::new(desc.clone());
+        let mut int_forced = PreparedConv::new(desc);
         int_forced.set_backends(BackendSet::int()).unwrap();
         assert_eq!(int_forced.infer(&x), want, "integer backend");
-        let mut sharded = PreparedConv::new(desc);
-        sharded.set_row_tile_shards(Some(2));
-        assert_eq!(sharded.infer(&x), want, "sharded");
-        assert_eq!(sharded.infer(&x), want, "warm-arena sharded");
+        assert_eq!(int_forced.infer(&x), want, "warm-arena integer backend");
     }
 
     /// Serving repeatedly on one thread (so every call reuses the same
@@ -548,39 +385,9 @@ mod tests {
         assert_ne!(plain.infer(&x), scaled.infer(&x));
     }
 
-    /// Row-tile sharded execution must be bit-identical to the unsharded
-    /// path for every shard count — including counts above the number of
-    /// row tiles — with and without psum quantization, and across warm
-    /// (arena-reusing) repeat calls.
-    #[test]
-    fn row_tile_sharding_is_bit_exact() {
-        for psq in [false, true] {
-            let desc = small_desc(psq);
-            let tiles = desc.plan.num_row_tiles; // 3 for the tiny config
-            assert!(tiles > 1, "test needs a multi-tile layer");
-            let baseline = PreparedConv::new(desc.clone());
-            let mut rng = CqRng::new(31);
-            let x = rng.normal_tensor(&[2, 7, 6, 6], 1.0).map(|v| v.max(0.0));
-            let want = baseline.infer(&x);
-            for n in [1usize, 2, 7] {
-                let mut sharded = PreparedConv::new(desc.clone());
-                sharded.set_row_tile_shards(Some(n));
-                assert_eq!(sharded.row_tile_shards(), n.min(tiles));
-                let got1 = sharded.infer(&x);
-                let got2 = sharded.infer(&x);
-                assert_eq!(got1, want, "shards={n} psq={psq}");
-                assert_eq!(got2, want, "warm-arena shards={n} psq={psq}");
-                sharded.set_row_tile_shards(None);
-                assert_eq!(sharded.row_tile_shards(), 1);
-                assert_eq!(sharded.infer(&x), want, "disable diverged");
-            }
-        }
-    }
-
     /// Backend selection is pure speed: every backend chain must equal the
-    /// forced-f32 path bit-for-bit, sharded or not, with and without psum
-    /// quantization, and re-selecting the chain must rebuild shard state
-    /// without drift.
+    /// forced-f32 path bit-for-bit, with and without psum quantization,
+    /// and re-selecting the chain must not drift.
     #[test]
     fn integer_kernel_is_bit_exact_and_selectable() {
         for psq in [false, true] {
@@ -596,7 +403,7 @@ mod tests {
             let mut scalar = PreparedConv::new(desc.clone());
             scalar.set_backends(BackendSet::scalar()).unwrap();
             assert_eq!(scalar.active_backend(), BackendKind::Scalar);
-            let mut auto = PreparedConv::new(desc.clone());
+            let mut auto = PreparedConv::new(desc);
             auto.set_backends(BackendSet::auto()).unwrap();
             assert_eq!(auto.backends(), &BackendSet::auto());
             assert!(auto.integer_kernel_active(), "clean slices must qualify");
@@ -606,16 +413,11 @@ mod tests {
             assert_eq!(int_forced.infer(&x), want, "psq={psq}");
             assert_eq!(scalar.infer(&x), want, "scalar psq={psq}");
             assert_eq!(auto.infer(&x), want, "psq={psq}");
-            // Sharded integer path.
-            let mut sharded = PreparedConv::new(desc);
-            sharded.set_backends(BackendSet::int()).unwrap();
-            sharded.set_row_tile_shards(Some(2));
-            assert_eq!(sharded.infer(&x), want, "sharded int psq={psq}");
-            assert_eq!(sharded.infer(&x), want, "warm-arena sharded int psq={psq}");
-            // Chain re-selection rebuilds the shard artifacts.
-            sharded.set_backends(BackendSet::scalar()).unwrap();
-            assert_eq!(sharded.row_tile_shards(), 2);
-            assert_eq!(sharded.infer(&x), want, "rebuilt scalar shards psq={psq}");
+            assert_eq!(int_forced.infer(&x), want, "warm-arena int psq={psq}");
+            // Chain re-selection on a warm layer.
+            int_forced.set_backends(BackendSet::scalar()).unwrap();
+            assert_eq!(int_forced.active_backend(), BackendKind::Scalar);
+            assert_eq!(int_forced.infer(&x), want, "re-selected scalar psq={psq}");
         }
     }
 
@@ -646,13 +448,11 @@ mod tests {
         let mut prepared =
             PreparedConv::with_slice_transform(small_desc(false), |_, s| s.scale(1.37));
         prepared.set_backends(BackendSet::f32()).unwrap();
-        prepared.set_row_tile_shards(Some(2));
         let err = prepared.set_backends(BackendSet::int()).unwrap_err();
         assert_eq!(err, BackendError::NoBackend(vec![BackendKind::IntPanels]));
         assert!(err.to_string().contains("not integer-eligible"));
         assert_eq!(prepared.backends(), &BackendSet::f32(), "config clobbered");
         assert_eq!(prepared.active_backend(), BackendKind::SimdF32);
-        assert_eq!(prepared.row_tile_shards(), 2, "shard state clobbered");
     }
 
     #[test]

@@ -120,9 +120,6 @@ pub struct CimConv2d {
     /// restore). Per-call intermediates come from the executing worker's
     /// [`cq_tensor::arena`], so concurrent shared calls never contend.
     frozen: Option<PreparedConv>,
-    /// Row-tile shard count applied to the frozen executor (kept across
-    /// re-freezes). `None` = unsharded.
-    row_tile_shards: Option<usize>,
     /// Execution-backend chain applied to the frozen executor (kept
     /// across re-freezes).
     backends: BackendSet,
@@ -184,7 +181,6 @@ impl CimConv2d {
             fp_cache: None,
             p_layout_cache: HashMap::new(),
             frozen: None,
-            row_tile_shards: None,
             backends: BackendSet::standard(),
             cfg,
         }
@@ -645,24 +641,7 @@ impl CimConv2d {
         prepared
             .set_backends(self.backends.clone())
             .expect("configured backend chain cannot execute the frozen layer");
-        prepared.set_row_tile_shards(self.row_tile_shards);
         self.frozen = Some(prepared);
-    }
-
-    /// Sets the row-tile shard count of the frozen executor (see
-    /// [`PreparedConv::set_row_tile_shards`] — bit-identical to unsharded
-    /// execution for every count). Applies to the current frozen state, if
-    /// any, and persists across re-freezes. `None` disables sharding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == Some(0)`.
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        assert!(shards != Some(0), "shard count must be positive");
-        self.row_tile_shards = shards;
-        if let Some(fr) = &mut self.frozen {
-            fr.set_row_tile_shards(shards);
-        }
     }
 
     /// Selects the execution-backend chain of the frozen executor (see
@@ -682,6 +661,15 @@ impl CimConv2d {
         }
         self.backends = backends;
         Ok(())
+    }
+
+    /// Whether [`CimConv2d::set_backends`] would accept `backends`:
+    /// always when unfrozen, otherwise when some chain entry supports the
+    /// frozen layer.
+    pub fn accepts_backends(&self, backends: &BackendSet) -> bool {
+        self.frozen
+            .as_ref()
+            .map_or(true, |fr| backends.resolve(&fr.profile()).is_some())
     }
 
     /// The configured execution-backend chain.

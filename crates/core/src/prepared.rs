@@ -13,7 +13,7 @@
 //! [`Layer::forward_shared`] chain through shared state (`&self`), so a
 //! prepared model is a pure function of its input and any number of
 //! threads may serve from it at once — the `cq-serve` registry runs every
-//! sweep and every batch-segment shard under a read lock.
+//! sweep under a read lock.
 //!
 //! [`PreparedCimModel::infer_batch`] additionally **coalesces micro
 //! batches**: many small requests are concatenated into one batch and
@@ -136,9 +136,7 @@ impl PreparedCimModel {
     /// Serves one already-batched tensor `[B, C, H, W]` through shared
     /// state, cross-layer pipelined per
     /// [`set_pipeline_depth`](Self::set_pipeline_depth). Several threads
-    /// may call this concurrently on one prepared model — the execution
-    /// path behind batch-segment sharding, where serve workers cooperate
-    /// on disjoint row segments of a single oversized sweep. Note it does
+    /// may call this concurrently on one prepared model. Note it does
     /// **not** apply `max_batch` chunking (see
     /// [`infer_batch`](Self::infer_batch)).
     ///
@@ -182,15 +180,6 @@ impl PreparedCimModel {
             .expect("prepared model has a layer without shared-eval support")
     }
 
-    /// Sets the row-tile shard count of every frozen CIM convolution (see
-    /// [`crate::CimConv2d::set_row_tile_shards`]): the grouped-conv
-    /// front-end of each layer then executes as that many independent
-    /// row-tile shards, rejoined bit-exactly before the canonical reduce.
-    /// `None` disables sharding. Outputs are bit-identical either way.
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        for_each_cim_conv(self.model.as_mut(), |c| c.set_row_tile_shards(shards));
-    }
-
     /// Selects the execution-backend chain of every frozen CIM
     /// convolution (see [`crate::CimConv2d::set_backends`]): each layer
     /// resolves the first chain entry whose capability probe accepts it
@@ -199,23 +188,34 @@ impl PreparedCimModel {
     /// kernels otherwise). Outputs are bit-identical on every backend —
     /// the choice is pure speed.
     ///
+    /// Installation is all-or-nothing: every layer is checked first, and
+    /// the chain is installed only if all of them accept it.
+    ///
     /// # Errors
     ///
-    /// The first [`BackendError`] encountered when a layer rejects the
-    /// chain (e.g. [`BackendSet::int`] with variation-perturbed slices).
-    /// Layers visited before the failing one keep the new chain; callers
-    /// treating the error as fatal should re-apply a known-good chain.
+    /// [`BackendError::NoBackend`] when any layer rejects the chain (e.g.
+    /// [`BackendSet::int`] with variation-perturbed slices); every layer
+    /// then keeps its previous chain.
     pub fn set_backends(&mut self, backends: BackendSet) -> Result<(), BackendError> {
-        let mut err = None;
-        for_each_cim_conv(self.model.as_mut(), |c| {
-            if let Err(e) = c.set_backends(backends.clone()) {
-                err.get_or_insert(e);
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        if !self.accepts_backends(&backends) {
+            return Err(BackendError::NoBackend(backends.kinds()));
         }
+        for_each_cim_conv(self.model.as_mut(), |c| {
+            c.set_backends(backends.clone())
+                .expect("layer accepted the chain it was checked against");
+        });
+        Ok(())
+    }
+
+    /// Whether every CIM convolution accepts `backends` (see
+    /// [`crate::CimConv2d::accepts_backends`]) — exactly when
+    /// [`set_backends`](Self::set_backends) would succeed.
+    pub fn accepts_backends(&mut self, backends: &BackendSet) -> bool {
+        let mut accepted = true;
+        for_each_cim_conv(self.model.as_mut(), |c| {
+            accepted &= c.accepts_backends(backends);
+        });
+        accepted
     }
 
     /// The quantization-scheme name of the model's CIM layers: the first

@@ -1,10 +1,11 @@
-//! Bit-exactness matrix for **sharded execution**: row-tile sharded
-//! inference (and the per-segment `PreparedCimModel::infer` behind
-//! batch-segment sharding) must equal the unsharded
-//! `PreparedCimModel::infer_batch` bit-for-bit
-//! across psq mode × granularity × digitizer × shard counts {1, 2, 7} —
-//! including a shard count larger than any layer's number of row tiles —
-//! on **every backend chain**: every cell runs the forced f32 oracle,
+//! Bit-exactness matrix for **split execution**: however a sweep is cut
+//! up — `max_batch` chunking, pipeline waves of depth {1, 2, 7} (7
+//! exceeds every chunk's row count), row segments run concurrently, and
+//! the (batch × row-tile) kernel items every frozen conv spreads over the
+//! exec pool — `PreparedCimModel::infer` and `infer_batch` must equal the
+//! forced-f32 `infer_batch` oracle bit-for-bit across psq mode ×
+//! granularity × digitizer on **every backend chain**: every cell runs
+//! the forced f32 oracle,
 //! the `auto` chain (integer i8/i32 panels where the frozen slices are
 //! integer-eligible, simd-f32 fallback under variation), and the scalar
 //! loop-nest reference.
@@ -55,7 +56,7 @@ fn check_cell(psq: bool, gran: Granularity, dig: Digitizer, seed: u64) {
     let ctx = format!("psq={psq} gran={gran} dig={dig:?}");
     let rng = &mut CqRng::new(seed + 2000);
     // A small and an oversized request: with max_batch = 3 the second is
-    // chunked, so sharding composes with the coalescing/chunking path.
+    // chunked, so the waves compose with the coalescing/chunking path.
     let requests = [
         rng.normal_tensor(&[1, 3, 12, 12], 1.0),
         rng.normal_tensor(&[7, 3, 12, 12], 1.0),
@@ -84,24 +85,22 @@ fn check_cell(psq: bool, gran: Granularity, dig: Digitizer, seed: u64) {
             active, expect_active,
             "{ctx}: integer-kernel activation count"
         );
-        for shards in [1usize, 2, 7] {
-            // 7 exceeds every layer's row-tile count in this tiny config —
-            // the plan must clamp, never produce empty shards.
-            pm.set_row_tile_shards(Some(shards));
+        for depth in [1usize, 2, 7] {
+            // 7 exceeds every sweep's row count here — the waves must
+            // clamp, never produce empty ones.
+            pm.set_pipeline_depth(depth);
             let got = pm.infer_batch(&requests);
-            assert_eq!(got, want, "{ctx} shards={shards}: infer_batch diverged");
-            // The unchunked `infer` — what serve workers run on their
-            // batch-segment shards — under the same row-tile sharding.
+            assert_eq!(got, want, "{ctx} depth={depth}: infer_batch diverged");
+            // The unchunked `infer` on each whole request.
             for (req, w) in requests.iter().zip(&want) {
-                assert_eq!(&pm.infer(req), w, "{ctx} shards={shards}: infer diverged");
+                assert_eq!(&pm.infer(req), w, "{ctx} depth={depth}: infer diverged");
             }
         }
-        pm.set_row_tile_shards(None);
-        assert_eq!(pm.infer_batch(&requests), want, "{ctx}: disable diverged");
+        pm.set_pipeline_depth(2);
     }
 }
 
-/// psq {off, on} × granularity × digitizer × shard counts {1, 2, 7}.
+/// psq {off, on} × granularity × digitizer × chain × wave depth {1, 2, 7}.
 #[test]
 fn sharded_equivalence_full_matrix() {
     let mut seed = 9000;
@@ -115,9 +114,9 @@ fn sharded_equivalence_full_matrix() {
     }
 }
 
-/// A representative sharded cell must be bit-identical across executor
-/// pool widths 1, 2, and the machine parallelism — row-tile shard tasks
-/// and pipeline waves reschedule with the pool, the bits never move.
+/// A representative cell must be bit-identical across executor pool
+/// widths 1, 2, and the machine parallelism — (batch × row-tile) kernel
+/// items and pipeline waves reschedule with the pool, the bits never move.
 #[test]
 fn sharded_cell_is_bit_exact_at_every_pool_width() {
     let requests = {
@@ -137,7 +136,6 @@ fn sharded_cell_is_bit_exact_at_every_pool_width() {
             // Rebuilt per width: construction is deterministic per seed.
             let mut pm = prepared_model(true, Granularity::Column, Digitizer::Clean, 31415);
             pm.set_max_batch(Some(3));
-            pm.set_row_tile_shards(Some(2));
             let got = pm.infer_batch(&requests);
             assert_eq!(
                 got,
@@ -154,10 +152,10 @@ fn sharded_cell_is_bit_exact_at_every_pool_width() {
     }
 }
 
-/// Batch-segment sharding (the serve-layer decomposition): slicing an
-/// oversized request into row segments, running each through the shared
-/// path concurrently, and concatenating the slices must reproduce the
-/// unsharded sweep bit-for-bit.
+/// Row segments: slicing an oversized request into contiguous row
+/// segments, running each through the shared path concurrently, and
+/// concatenating the slices must reproduce the whole sweep bit-for-bit —
+/// the decomposition pipeline waves and concurrent serve workers rely on.
 #[test]
 fn batch_segment_sharding_rejoins_bit_exactly() {
     let pm = prepared_model(true, Granularity::Column, Digitizer::Clean, 4242);
@@ -165,10 +163,14 @@ fn batch_segment_sharding_rejoins_bit_exactly() {
     let want = pm.infer_batch(std::slice::from_ref(&big)).pop().unwrap();
     let pm = &pm;
     for max_rows in [2usize, 4, 9, 16] {
-        let plan = cq_cim::ShardPlan::split_max(big.dim(0), max_rows);
-        let mut parts: Vec<Option<Tensor>> = vec![None; plan.num_shards()];
+        let rows = big.dim(0);
+        let segments: Vec<_> = (0..rows)
+            .step_by(max_rows)
+            .map(|lo| lo..(lo + max_rows).min(rows))
+            .collect();
+        let mut parts: Vec<Option<Tensor>> = vec![None; segments.len()];
         std::thread::scope(|sc| {
-            for (seg, out) in plan.iter().zip(parts.iter_mut()) {
+            for (seg, out) in segments.into_iter().zip(parts.iter_mut()) {
                 let big = &big;
                 sc.spawn(move || {
                     *out = Some(pm.infer(&big.slice_outer(seg.start, seg.end)));
@@ -182,8 +184,8 @@ fn batch_segment_sharding_rejoins_bit_exactly() {
 }
 
 /// **Mixed-scheme multi-model serving**: one resident model per scheme
-/// (paper LSQ column-wise, BWMA, hybrid-ADC) in a single session with
-/// batch-segment *and* row-tile sharding on. Every request — small and
+/// (paper LSQ column-wise, BWMA, hybrid-ADC) in a single 2-worker
+/// session. Every request — small and
 /// oversized — must come back bit-identical to the standalone
 /// whole-model forward of the scheme that served it, and the final stats
 /// must attribute images to all three schemes.
@@ -219,8 +221,6 @@ fn mixed_scheme_multi_model_serve_matches_whole_model() {
         ServeConfig::builder()
             .workers(2)
             .max_batch(Some(3))
-            .shard_rows(Some(2))
-            .row_tile_shards(Some(2))
             .build()
             .unwrap(),
     )
@@ -243,7 +243,7 @@ fn mixed_scheme_multi_model_serve_matches_whole_model() {
             t.wait().output,
             want,
             "scheme '{}' diverged from its whole-model forward under \
-             mixed-scheme sharded serving",
+             mixed-scheme serving",
             schemes[i].name
         );
     }

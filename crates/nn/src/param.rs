@@ -88,8 +88,7 @@ pub enum Mode {
 /// Layers are `Send + Sync` so whole models can move between (and be
 /// served from) worker threads: a frozen `PreparedCimModel` serves only
 /// through [`Layer::forward_shared`], so the `cq-serve` front-end runs
-/// every sweep and shard of a model from several workers at once under a
-/// read lock. Every layer in this workspace is plain owned data, so the
+/// sweeps of a model from several workers at once under a read lock. Every layer in this workspace is plain owned data, so the
 /// bounds cost nothing.
 pub trait Layer: std::any::Any + Send + Sync {
     /// Runs the layer on `x` — the training/evaluation path, which may
@@ -98,7 +97,8 @@ pub trait Layer: std::any::Any + Send + Sync {
 
     /// Eval-mode forward through shared state (`&self`) — the **one
     /// serving path**: several threads may call it on one layer at once
-    /// (e.g. batch-segment shards of one oversized sweep). Must be
+    /// (e.g. the pipeline waves of one sweep, or concurrent serve
+    /// workers). Must be
     /// **bit-identical** to `forward(x, Mode::Eval)`.
     ///
     /// Returns `None` when this layer (or any descendant) cannot serve

@@ -9,26 +9,26 @@
 //!  many in-flight)          ┌──────────────────────────────────────────────┐
 //!  ───────────────────┐     │ RequestQueue (bounded; Block | Reject)       │
 //!  session.submit(    ├────►│  ├ Latency deque   (priority)                │
-//!   Request::to(..)   │     │  ├ Bulk deque      (FIFO + aging; linger     │
-//!    .batch(x).slo(..)│     │  │                  ≤ max_wait)              │
-//!    .deadline(..)    │     │  └ Shard pool      (work-stealing segments)  │
-//!    .weight(..))     │     └───────────────┬──────────────────────────────┘
-//!  ───────────────────┘                     │ BatchScheduler per worker:
-//!        │ Ticket                           │ shards ≻ aged bulk ≻ latency
-//!        ▼                                  │ ≻ bulk; latency arrivals
-//!  CompletionSet::wait_any()                │ preempt bulk linger; sweeps
-//!  try_wait / wait_timeout / wait           │ > shard_rows split
+//!   Request::to(..)   │     │  └ Bulk deque      (FIFO + aging; linger     │
+//!    .batch(x).slo(..)│     │                     ≤ max_wait)              │
+//!    .deadline(..)    │     └───────────────┬──────────────────────────────┘
+//!    .weight(..))     │                     │ BatchScheduler per worker:
+//!  ───────────────────┘                     │ aged bulk ≻ latency ≻ bulk;
+//!        │ Ticket                           │ latency arrivals preempt
+//!        ▼                                  │ bulk linger
+//!  CompletionSet::wait_any()                │
+//!  try_wait / wait_timeout / wait           │
 //!              ┌────────────────────────────┴─┐
 //!              ▼                              ▼
 //!        worker thread  …               worker thread    (owned threads)
-//!              │ read-locked sweeps           │ read-locked shards
+//!              │ read-locked sweeps           │
 //!              ▼                              ▼
 //!  ┌──────────────────────────────────────────────────┐
 //!  │ ModelRegistry: id → RwLock<PreparedCimModel>     │
-//!  │ (frozen weights, served through &self; optional  │
-//!  │  row-tile sharding inside every conv)            │
+//!  │ (frozen weights, served through &self; each      │
+//!  │  sweep split into batch × row-tile items and     │
+//!  │  pipeline waves on the CQ_THREADS exec pool)     │
 //!  └──────────────────────────────────────────────────┘
-//!              │ shard outputs rejoined (exact concat),
 //!              │ outputs split back per request
 //!              ▼
 //!   Completed { output, latency, slo, missed }
@@ -36,12 +36,10 @@
 //! ```
 //!
 //! Every serving-path output — coalesced, chunked oversized requests,
-//! batch-segment sharded, row-tile sharded, multi-model — is
-//! **bit-identical** to calling the standalone
-//! [`PreparedCimModel`] on the same input:
-//! the front-end only reorders *which sweep (or shard)* a request rides
-//! in, every layer processes batch elements independently with a fixed
-//! f32 operation order, and shard rejoins are exact copies
+//! multi-model — is **bit-identical** to calling the standalone
+//! [`PreparedCimModel`] on the same input: the front-end only reorders
+//! *which sweep* a request rides in, and every layer processes batch
+//! elements independently with a fixed f32 operation order
 //! (`tests/serving.rs`, `tests/slo_stress.rs`, and the `cq-core`
 //! `sharded_equivalence` matrix pin this). The same holds across
 //! **resolution paths**: [`Ticket::wait`], [`Ticket::try_wait`],
@@ -107,22 +105,19 @@
 //! with [`Completed::missed`] set, and [`ServeStats`] reports per-class
 //! served/missed counters plus [`ServeStats::aged_promotions`].
 //!
-//! **Sharding.** With [`ServeConfig::shard_rows`] set, a sweep larger
-//! than the bound is split into batch-segment [`cq_cim::ShardPlan`]
-//! shards published to the queue's work-stealing pool: every worker —
-//! including the coordinator while it waits — steals segments and runs
-//! them through the registry's read lock, so the whole worker set
-//! cooperates on one oversized request. [`ServeConfig::row_tile_shards`]
-//! additionally splits each frozen convolution's grouped-conv front-end
-//! across row tiles (rejoined by exact scatter before the canonical
-//! fixed-order reduce).
+//! **Parallelism.** A sweep is split across cores in one way only:
+//! [`PreparedCimModel::infer`] cuts it into pipeline waves
+//! ([`PreparedCimModel::set_pipeline_depth`]) and every frozen
+//! convolution splits each wave into (batch element × row tile) items,
+//! all on the one `CQ_THREADS`-capped `cq_tensor::exec` pool. Serve
+//! workers add request-level concurrency on top; there is no second
+//! sharding knob.
 //!
 //! [`StreamSpec`] generates seeded Poisson-ish open-loop request streams
 //! with a configurable latency-class fraction; the `cq-bench` `serving`
 //! experiment replays them through a multiplexed [`CompletionSet`]
 //! client and reports per-class p50/p99 latency, deadline-miss rate,
-//! images/sec, and queue depth (`BENCH_serving.json`,
-//! `BENCH_serving_sharded.json`).
+//! images/sec, and queue depth (`BENCH_serving.json`).
 //!
 //! ## Example
 //!

@@ -207,8 +207,6 @@ pub struct ModelStats {
     pub served: u64,
     /// Coalesced sweeps executed against it.
     pub sweeps: u64,
-    /// Batch-segment shard tasks executed against it.
-    pub shards: u64,
     /// Images (batch rows) swept through it.
     pub images: u64,
     /// Whether the model has been evicted from the live session.

@@ -1,5 +1,5 @@
-//! The bounded request queue, admission control, SLO-aware batch
-//! scheduler, and work-stealing shard pool of the serving front-end.
+//! The bounded request queue, admission control, and SLO-aware batch
+//! scheduler of the serving front-end.
 //!
 //! Clients [`submit`](crate::ServeSession::submit) requests into one
 //! shared [`RequestQueue`]; each request carries an [`Slo`] class, an
@@ -14,15 +14,6 @@
 //! arrivals — the starvation bound. Admission is enforced at the queue:
 //! when it is full, a submission either blocks until a worker frees space
 //! or is rejected immediately with the input handed back.
-//!
-//! The queue also carries the **shard pool**: when a worker decides to
-//! split one oversized sweep into batch-segment shards, the shard tasks
-//! go here and every worker — including the coordinator while it waits —
-//! steals and executes them, so the whole worker set cooperates on a
-//! single request. Shards inherit their request's class and schedule
-//! ahead of new sweeps *within* it (finishing an in-flight request beats
-//! starting a new one), but a sharded bulk request never jumps ahead of
-//! latency work.
 //!
 //! On the client side, a [`Ticket`] is a **pollable** completion handle:
 //! blocking [`wait`](Ticket::wait), non-blocking
@@ -400,97 +391,6 @@ impl QueuedRequest {
     }
 }
 
-/// Synchronization point of one sharded sweep: the coordinator waits here
-/// while every worker (itself included) steals segments from the shard
-/// pool and deposits outputs.
-pub(crate) struct ShardJoin {
-    state: Mutex<JoinState>,
-    done: Condvar,
-}
-
-struct JoinState {
-    outputs: Vec<Option<Tensor>>,
-    remaining: usize,
-    failed: bool,
-}
-
-impl ShardJoin {
-    pub(crate) fn new(shards: usize) -> Self {
-        Self {
-            state: Mutex::new(JoinState {
-                outputs: (0..shards).map(|_| None).collect(),
-                remaining: shards,
-                failed: false,
-            }),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Deposits shard `index`'s output and wakes the coordinator when it
-    /// was the last one.
-    pub(crate) fn complete(&self, index: usize, output: Tensor) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(st.outputs[index].is_none(), "shard completed twice");
-        st.outputs[index] = Some(output);
-        st.remaining -= 1;
-        let last = st.remaining == 0;
-        drop(st);
-        if last {
-            self.done.notify_all();
-        }
-    }
-
-    /// Marks the sweep failed (a shard executor panicked) and wakes the
-    /// coordinator, which propagates the panic to the waiting clients.
-    pub(crate) fn fail(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.failed = true;
-        drop(st);
-        self.done.notify_all();
-    }
-
-    /// Blocks until every shard completed, returning the ordered outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard executor panicked.
-    pub(crate) fn wait(&self) -> Vec<Tensor> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            assert!(!st.failed, "a sharded serving worker panicked");
-            if st.remaining == 0 {
-                return st.outputs.iter_mut().map(|o| o.take().unwrap()).collect();
-            }
-            st = self.done.wait(st).unwrap();
-        }
-    }
-
-    /// Non-blocking progress check: `Some(true)` = all shards done,
-    /// `Some(false)` = still in flight, panicking if a shard failed.
-    pub(crate) fn is_done(&self) -> bool {
-        let st = self.state.lock().unwrap();
-        assert!(!st.failed, "a sharded serving worker panicked");
-        st.remaining == 0
-    }
-}
-
-/// One batch-segment shard of an oversized sweep, executed by whichever
-/// worker steals it first.
-pub(crate) struct ShardTask {
-    /// Registry index of the target model.
-    pub model: usize,
-    /// The `[b, C, H, W]` row segment to run.
-    pub segment: Tensor,
-    /// Position of this segment in the sweep (for ordered rejoin).
-    pub index: usize,
-    /// Class of the originating sweep: shards inherit their request's
-    /// priority, so a sharded **bulk** request never commandeers workers
-    /// ahead of latency sweeps.
-    pub slo: Slo,
-    /// Where the segment output goes.
-    pub join: Arc<ShardJoin>,
-}
-
 /// Per-[`Slo`]-class counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassStats {
@@ -507,7 +407,7 @@ pub struct ClassStats {
 
 /// Per-execution-backend serving counters (one slot per
 /// [`BackendKind`], indexed by [`BackendKind::index`] in
-/// [`ServeStats::backends`]). Sweeps and shards are attributed to the
+/// [`ServeStats::backends`]). Sweeps are attributed to the
 /// target model's **primary** backend — the backend most of its active
 /// frozen convolutions resolved to — while `active_layers` counts
 /// layers exactly, so mixed-placement models show up in both columns.
@@ -515,8 +415,6 @@ pub struct ClassStats {
 pub struct BackendStats {
     /// Coalesced sweeps served by models primarily on this backend.
     pub sweeps: u64,
-    /// Batch-segment shard tasks executed against such models.
-    pub shards: u64,
     /// Images (batch rows) swept through such models.
     pub images: u64,
     /// Active frozen convolutions resolved onto this backend across the
@@ -542,7 +440,7 @@ pub struct ServeStats {
     pub rows_swept: u64,
     /// Largest single sweep handed to a model (may exceed `max_batch`
     /// when one oversized request is swept alone — the model chunks it
-    /// internally, or the shard pool splits it across workers).
+    /// internally).
     pub max_sweep_rows: usize,
     /// Deepest the queue ever got (sampled after each admission).
     pub peak_queue_depth: usize,
@@ -552,10 +450,6 @@ pub struct ServeStats {
     pub latency: ClassStats,
     /// Counters for [`Slo::Bulk`] requests.
     pub bulk: ClassStats,
-    /// Sweeps split into batch-segment shards.
-    pub sharded_sweeps: u64,
-    /// Shard tasks executed across all workers.
-    pub shards_executed: u64,
     /// Bulk sweeps served **ahead of pending latency work** because their
     /// head crossed the [`SchedulerPolicy::Aging`](crate::SchedulerPolicy)
     /// threshold — the starvation-bound mechanism firing.
@@ -696,7 +590,6 @@ impl TenantState {
 struct ModelCounters {
     served: u64,
     sweeps: u64,
-    shards: u64,
     images: u64,
 }
 
@@ -705,8 +598,6 @@ struct QueueState {
     /// Index 0 is always the default tenant (untagged requests); further
     /// tenants come from the config or are created on first submission.
     tenants: Vec<TenantState>,
-    latency_shards: VecDeque<ShardTask>,
-    bulk_shards: VecDeque<ShardTask>,
     closed: bool,
     /// Cached queued-request counts (depth checks and class-priority
     /// decisions are O(1), not O(tenants)).
@@ -731,8 +622,6 @@ struct QueueState {
     bulk_hist: LatencyHistogram,
     depth_series: DepthSeries,
     started: Option<Instant>,
-    sharded_sweeps: u64,
-    shards_executed: u64,
     aged_promotions: u64,
     backend_stats: [BackendStats; 3],
     models: Vec<ModelCounters>,
@@ -838,8 +727,7 @@ impl RequestQueue {
     }
 
     /// Admits `req` under `admission` (see [`Admission`]). The capacity
-    /// bound covers both classes together; shard tasks (derived from
-    /// already-admitted requests) do not count against it. Tenant quotas
+    /// bound covers both classes together. Tenant quotas
     /// are checked first and reject immediately — a quota-capped
     /// submission never parks on a full queue.
     pub(crate) fn submit(
@@ -905,39 +793,6 @@ impl RequestQueue {
         Ok(())
     }
 
-    /// Publishes shard tasks of one sweep to the work-stealing pool
-    /// (tasks land in their class's shard deque) and wakes every worker.
-    pub(crate) fn push_shards(&self, tasks: impl IntoIterator<Item = ShardTask>) {
-        let mut st = self.state.lock().unwrap();
-        let mut added = 0usize;
-        for task in tasks {
-            match task.slo {
-                Slo::Latency => st.latency_shards.push_back(task),
-                Slo::Bulk => st.bulk_shards.push_back(task),
-            }
-            added += 1;
-        }
-        st.sharded_sweeps += 1;
-        drop(st);
-        if added > 0 {
-            self.not_empty.notify_all();
-        }
-    }
-
-    /// Steals the next shard task — latency-origin first — if any (never
-    /// blocks).
-    pub(crate) fn try_pop_shard(&self) -> Option<ShardTask> {
-        let mut st = self.state.lock().unwrap();
-        let task = st
-            .latency_shards
-            .pop_front()
-            .or_else(|| st.bulk_shards.pop_front());
-        if task.is_some() {
-            st.shards_executed += 1;
-        }
-        task
-    }
-
     /// Records one fulfilment: per-class accounting, the class and tenant
     /// latency histograms, and the tenant's in-flight meter.
     pub(crate) fn note_served(
@@ -971,13 +826,6 @@ impl RequestQueue {
         let bs = &mut st.backend_stats[kind.index()];
         bs.sweeps += 1;
         bs.images += images;
-    }
-
-    /// Attributes one executed shard task to `kind` and to its model.
-    pub(crate) fn note_backend_shard(&self, kind: BackendKind, model: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.backend_stats[kind.index()].shards += 1;
-        st.model_mut(model).shards += 1;
     }
 
     /// Current queued-request depth (both classes) — the autoscaler's
@@ -1033,8 +881,6 @@ impl RequestQueue {
             },
             latency: st.latency_stats,
             bulk: st.bulk_stats,
-            sharded_sweeps: st.sharded_sweeps,
-            shards_executed: st.shards_executed,
             aged_promotions: st.aged_promotions,
             backends: st.backend_stats,
             quota_rejected: st.quota_rejected,
@@ -1065,7 +911,6 @@ impl RequestQueue {
                     scheme: String::new(),
                     served: m.served,
                     sweeps: m.sweeps,
-                    shards: m.shards,
                     images: m.images,
                     evicted: false,
                 })
@@ -1075,19 +920,11 @@ impl RequestQueue {
     }
 }
 
-/// One unit of worker work.
-pub(crate) enum Work {
-    /// A coalesced sweep of whole requests (one model, one class).
-    Sweep(Vec<QueuedRequest>),
-    /// A stolen batch segment of someone else's oversized sweep.
-    Shard(ShardTask),
-}
-
 /// Outcome of a bounded scheduler poll
 /// ([`BatchScheduler::poll_work`]).
 pub(crate) enum WorkPoll {
-    /// A unit of work to execute.
-    Ready(Work),
+    /// A coalesced sweep of whole requests (one model, one class).
+    Ready(Vec<QueuedRequest>),
     /// Nothing arrived within the idle bound — the autoscaler's
     /// retirement signal.
     Idle,
@@ -1147,11 +984,9 @@ impl<'q> BatchScheduler<'q> {
         stalest.map(|(i, _)| i)
     }
 
-    /// Blocks for the next unit of work, in priority order:
+    /// Blocks for the next sweep, in priority order:
     ///
-    /// 1. **Latency-origin shard tasks** — finishing an in-flight sharded
-    ///    latency request beats starting anything new.
-    /// 2. **Aged bulk sweeps** (only under
+    /// 1. **Aged bulk sweeps** (only under
     ///    [`SchedulerPolicy::Aging`](crate::SchedulerPolicy)) — when any
     ///    queued bulk request's weighted age has reached `bulk_max_age`,
     ///    the bulk class outranks new latency arrivals (served FIFO from
@@ -1160,33 +995,28 @@ impl<'q> BatchScheduler<'q> {
     ///    `bulk_max_age / weight` of submission, plus the sweep a worker
     ///    already has in flight and the (capacity-bounded) bulk requests
     ///    queued ahead of it.
-    /// 3. **Latency sweeps** — a maximal FIFO run of same-model,
+    /// 2. **Latency sweeps** — a maximal FIFO run of same-model,
     ///    same-shape [`Slo::Latency`] requests under `max_batch`. Latency
     ///    sweeps never linger: they coalesce only what is already queued.
-    /// 4. **Bulk-origin shard tasks** — shards inherit their request's
-    ///    class, so one sharded bulk request cooperates across *idle*
-    ///    workers but never commandeers the pool ahead of latency work
-    ///    (its coordinator keeps draining the pool itself regardless, so
-    ///    deprioritized bulk shards still complete).
-    /// 5. **Bulk sweeps** — as before, lingering up to `max_wait` for more
+    /// 3. **Bulk sweeps** — lingering up to `max_wait` for more
     ///    same-model arrivals while unfilled, but the linger (and sweep
-    ///    growth) aborts the moment latency or shard work arrives — that
-    ///    is the preemption of bulk batch formation.
+    ///    growth) aborts the moment latency work arrives — that is the
+    ///    preemption of bulk batch formation.
     ///
     /// A single request larger than the cap is swept alone — the model
-    /// chunks it internally (or the shard pool splits it). Returns `None`
-    /// once the queue is closed and drained. (Unit-test shorthand; the
-    /// worker loop polls [`poll_work`](BatchScheduler::poll_work).)
+    /// chunks it internally. Returns `None` once the queue is closed and
+    /// drained. (Unit-test shorthand; the worker loop polls
+    /// [`poll_work`](BatchScheduler::poll_work).)
     #[cfg(test)]
-    pub(crate) fn next_work(&self) -> Option<Work> {
+    pub(crate) fn next_batch(&self) -> Option<Vec<QueuedRequest>> {
         match self.poll_work(None) {
-            WorkPoll::Ready(work) => Some(work),
+            WorkPoll::Ready(batch) => Some(batch),
             WorkPoll::Closed => None,
             WorkPoll::Idle => unreachable!("unbounded poll never idles out"),
         }
     }
 
-    /// [`next_work`](BatchScheduler::next_work) with an optional idle
+    /// [`next_batch`](BatchScheduler::next_batch) with an optional idle
     /// bound: when no work arrives within `idle_after` of the call, the
     /// poll returns [`WorkPoll::Idle`] instead of blocking forever — the
     /// hook the autoscaler uses to retire surplus workers.
@@ -1195,10 +1025,6 @@ impl<'q> BatchScheduler<'q> {
         let idle_deadline = idle_after.map(|d| Instant::now() + d);
         let mut st = self.queue.state.lock().unwrap();
         loop {
-            if let Some(task) = st.latency_shards.pop_front() {
-                st.shards_executed += 1;
-                return WorkPoll::Ready(Work::Shard(task));
-            }
             // Aged bulk outranks *pending* latency work; when no latency
             // work is queued, the normal order below serves bulk anyway
             // (and the promotion counter only counts real overtakes). The
@@ -1208,28 +1034,14 @@ impl<'q> BatchScheduler<'q> {
             if st.latency_queued > 0 {
                 if let Some(tenant) = self.stale_bulk_tenant(&st) {
                     st.aged_promotions += 1;
-                    return WorkPoll::Ready(Work::Sweep(self.form_sweep(
-                        st,
-                        Slo::Bulk,
-                        tenant,
-                        cap,
-                    )));
+                    return WorkPoll::Ready(self.form_sweep(st, Slo::Bulk, tenant, cap));
                 }
                 let tenant = st.wfq_pick(Slo::Latency);
-                return WorkPoll::Ready(Work::Sweep(self.form_sweep(
-                    st,
-                    Slo::Latency,
-                    tenant,
-                    cap,
-                )));
-            }
-            if let Some(task) = st.bulk_shards.pop_front() {
-                st.shards_executed += 1;
-                return WorkPoll::Ready(Work::Shard(task));
+                return WorkPoll::Ready(self.form_sweep(st, Slo::Latency, tenant, cap));
             }
             if st.bulk_queued > 0 {
                 let tenant = st.wfq_pick(Slo::Bulk);
-                return WorkPoll::Ready(Work::Sweep(self.form_sweep(st, Slo::Bulk, tenant, cap)));
+                return WorkPoll::Ready(self.form_sweep(st, Slo::Bulk, tenant, cap));
             }
             if st.closed {
                 return WorkPoll::Closed;
@@ -1304,13 +1116,7 @@ impl<'q> BatchScheduler<'q> {
                     // moment higher-priority work shows up — or another
                     // tenant queues bulk work of its own.
                     let other_bulk = st.bulk_queued > st.tenants[tenant].bulk.len();
-                    if class == Slo::Latency
-                        || st.closed
-                        || st.latency_queued > 0
-                        || !st.latency_shards.is_empty()
-                        || !st.bulk_shards.is_empty()
-                        || other_bulk
-                    {
+                    if class == Slo::Latency || st.closed || st.latency_queued > 0 || other_bulk {
                         break;
                     }
                     let now = Instant::now();
@@ -1372,13 +1178,6 @@ mod tests {
         BatchScheduler::new(queue, max_batch, max_wait, SchedulerPolicy::Strict)
     }
 
-    fn next_batch(sched: &BatchScheduler<'_>) -> Option<Vec<QueuedRequest>> {
-        sched.next_work().map(|w| match w {
-            Work::Sweep(b) => b,
-            Work::Shard(_) => panic!("unexpected shard task"),
-        })
-    }
-
     /// Reject admission must turn requests away exactly when the queue is
     /// full, handing the input back.
     #[test]
@@ -1407,7 +1206,7 @@ mod tests {
         let drainer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             let sched = strict(&q2, Some(4), Duration::ZERO);
-            next_batch(&sched).unwrap().len()
+            sched.next_batch().unwrap().len()
         });
         // Blocks until the drainer frees the single slot.
         q.submit(req(0, 1), Admission::Block).unwrap();
@@ -1426,7 +1225,7 @@ mod tests {
         }
         q.close();
         let sched = strict(&q, Some(4), Duration::ZERO);
-        let sizes: Vec<(usize, usize)> = std::iter::from_fn(|| next_batch(&sched))
+        let sizes: Vec<(usize, usize)> = std::iter::from_fn(|| sched.next_batch())
             .map(|b| {
                 let rows: usize = b.iter().map(|r| r.input.dim(0)).sum();
                 (b[0].model, rows)
@@ -1457,7 +1256,7 @@ mod tests {
             .unwrap();
         q.close();
         let sched = strict(&q, Some(8), Duration::ZERO);
-        let classes: Vec<Vec<Slo>> = std::iter::from_fn(|| next_batch(&sched))
+        let classes: Vec<Vec<Slo>> = std::iter::from_fn(|| sched.next_batch())
             .map(|b| b.iter().map(|r| r.slo).collect())
             .collect();
         assert_eq!(
@@ -1489,7 +1288,7 @@ mod tests {
                 bulk_max_age: Duration::from_secs(30),
             },
         );
-        let classes: Vec<Slo> = std::iter::from_fn(|| next_batch(&sched))
+        let classes: Vec<Slo> = std::iter::from_fn(|| sched.next_batch())
             .map(|b| b[0].slo)
             .collect();
         // Stale bulk first (promoted), then latency, then the fresh bulk.
@@ -1524,7 +1323,7 @@ mod tests {
                 bulk_max_age: Duration::from_secs(30),
             },
         );
-        let classes: Vec<Slo> = std::iter::from_fn(|| next_batch(&sched))
+        let classes: Vec<Slo> = std::iter::from_fn(|| sched.next_batch())
             .map(|b| b[0].slo)
             .collect();
         // Both bulk sweeps outrank the latency arrival (FIFO within the
@@ -1552,7 +1351,7 @@ mod tests {
                 .unwrap();
             q.close();
             let sched = BatchScheduler::new(&q, Some(1), Duration::ZERO, policy);
-            let first = next_batch(&sched).unwrap();
+            let first = sched.next_batch().unwrap();
             let want = if promoted { Slo::Bulk } else { Slo::Latency };
             assert_eq!(
                 first[0].slo, want,
@@ -1580,77 +1379,16 @@ mod tests {
         // lands.
         let sched = strict(&q, Some(4), Duration::from_secs(10));
         let t0 = Instant::now();
-        let first = next_batch(&sched).unwrap();
+        let first = sched.next_batch().unwrap();
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "bulk linger was not preempted"
         );
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].slo, Slo::Bulk);
-        let second = next_batch(&sched).unwrap();
+        let second = sched.next_batch().unwrap();
         assert_eq!(second[0].slo, Slo::Latency);
         poker.join().unwrap();
-    }
-
-    /// Shard tasks schedule by their origin class: latency-origin shards
-    /// before latency sweeps, bulk-origin shards after latency sweeps but
-    /// before bulk sweeps — a sharded bulk request never commandeers
-    /// workers ahead of latency traffic.
-    #[test]
-    fn shards_schedule_by_origin_class() {
-        let q = RequestQueue::new(4);
-        q.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-            .unwrap();
-        q.submit(class_req(0, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        let shard = |slo: Slo, join: &Arc<ShardJoin>| ShardTask {
-            model: 0,
-            segment: Tensor::zeros(&[1, 1, 1, 1]),
-            index: 0,
-            slo,
-            join: join.clone(),
-        };
-        let bulk_join = Arc::new(ShardJoin::new(1));
-        let latency_join = Arc::new(ShardJoin::new(1));
-        q.push_shards([shard(Slo::Bulk, &bulk_join)]);
-        q.push_shards([shard(Slo::Latency, &latency_join)]);
-        let sched = strict(&q, None, Duration::ZERO);
-        let order: Vec<&'static str> = std::iter::from_fn(|| {
-            let w = sched.next_work()?;
-            Some(match w {
-                Work::Shard(t) => {
-                    t.join.complete(t.index, Tensor::zeros(&[1, 1, 1, 1]));
-                    match t.slo {
-                        Slo::Latency => "latency-shard",
-                        Slo::Bulk => "bulk-shard",
-                    }
-                }
-                Work::Sweep(b) => match b[0].slo {
-                    Slo::Latency => "latency-sweep",
-                    Slo::Bulk => "bulk-sweep",
-                },
-            })
-        })
-        .take(4)
-        .collect();
-        assert_eq!(
-            order,
-            vec!["latency-shard", "latency-sweep", "bulk-shard", "bulk-sweep"]
-        );
-        assert!(latency_join.is_done() && bulk_join.is_done());
-        let s = q.stats();
-        assert_eq!(s.sharded_sweeps, 2);
-        assert_eq!(s.shards_executed, 2);
-    }
-
-    /// A failed shard join panics the waiting coordinator.
-    #[test]
-    fn failed_shard_join_panics_waiter() {
-        let join = ShardJoin::new(2);
-        join.complete(1, Tensor::zeros(&[1]));
-        join.fail();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join.wait()));
-        assert!(err.is_err(), "waiting on a failed join must panic");
     }
 
     /// Requests with mismatched `[C, H, W]` must never ride one sweep —
@@ -1673,7 +1411,7 @@ mod tests {
         q.submit(req(0, 1), Admission::Block).unwrap();
         q.close();
         let sched = strict(&q, Some(8), Duration::ZERO);
-        let shapes: Vec<Vec<Vec<usize>>> = std::iter::from_fn(|| next_batch(&sched))
+        let shapes: Vec<Vec<Vec<usize>>> = std::iter::from_fn(|| sched.next_batch())
             .map(|b| b.iter().map(|r| r.input.shape().to_vec()).collect())
             .collect();
         assert_eq!(
@@ -1833,8 +1571,8 @@ mod tests {
         let sched = strict(&q, Some(1), Duration::ZERO);
         // Drain the default tenant's request (vtime tie breaks to index
         // 0), then one of a's.
-        next_batch(&sched).unwrap();
-        next_batch(&sched).unwrap();
+        sched.next_batch().unwrap();
+        sched.next_batch().unwrap();
         // One slot freed below the quota: admission reopens.
         q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
             .unwrap();
@@ -1860,7 +1598,7 @@ mod tests {
             Err(SubmitError::QuotaExceeded { .. })
         ));
         let sched = strict(&q, Some(1), Duration::ZERO);
-        next_batch(&sched).unwrap();
+        sched.next_batch().unwrap();
         // Scheduled but not fulfilled: still in flight, still capped.
         assert!(matches!(
             q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Reject),
@@ -1895,7 +1633,7 @@ mod tests {
         }
         q.close();
         let sched = strict(&q, Some(1), Duration::ZERO);
-        let order: Vec<usize> = std::iter::from_fn(|| next_batch(&sched))
+        let order: Vec<usize> = std::iter::from_fn(|| sched.next_batch())
             .map(|batch| batch[0].tenant)
             .collect();
         assert_eq!(order.len(), 16);
@@ -1920,7 +1658,7 @@ mod tests {
         for _ in 0..6 {
             q.submit(tenant_req(b, 1, Slo::Bulk), Admission::Block)
                 .unwrap();
-            next_batch(&sched).unwrap();
+            sched.next_batch().unwrap();
         }
         // a wakes up with a backlog; both now saturated.
         for _ in 0..6 {
@@ -1930,7 +1668,7 @@ mod tests {
                 .unwrap();
         }
         q.close();
-        let order: Vec<usize> = std::iter::from_fn(|| next_batch(&sched))
+        let order: Vec<usize> = std::iter::from_fn(|| sched.next_batch())
             .map(|batch| batch[0].tenant)
             .collect();
         let a_in_first_half = order[..6].iter().filter(|&&t| t == a).count();
@@ -1951,8 +1689,8 @@ mod tests {
         q.submit(class_req(1, 1, Slo::Bulk), Admission::Block)
             .unwrap();
         let sched = strict(&q, Some(8), Duration::ZERO);
-        next_batch(&sched).unwrap();
-        next_batch(&sched).unwrap();
+        sched.next_batch().unwrap();
+        sched.next_batch().unwrap();
         q.note_served(Slo::Latency, 0, true, false, Duration::from_micros(700));
         q.note_served(Slo::Bulk, 0, false, false, Duration::from_millis(3));
         let s = q.stats();
@@ -1985,7 +1723,7 @@ mod tests {
             Err(SubmitError::Closed(_))
         ));
         let sched = strict(&q, None, Duration::ZERO);
-        assert_eq!(next_batch(&sched).unwrap().len(), 1);
-        assert!(sched.next_work().is_none());
+        assert_eq!(sched.next_batch().unwrap().len(), 1);
+        assert!(sched.next_batch().is_none());
     }
 }

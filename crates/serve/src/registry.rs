@@ -4,12 +4,11 @@
 //! Each resident model sits in a slot behind its own reader-writer lock
 //! and carries its own frozen weights. A frozen model is a pure function
 //! of its input, so coalesced sweeps
-//! ([`PreparedCimModel::infer_batch`]) and batch-segment **shards**
-//! ([`PreparedCimModel::infer`]) alike run under the **read** lock: any
+//! ([`PreparedCimModel::infer_batch`]) run under the **read** lock: any
 //! number of workers serve the same model at once, and a sweep that
 //! panics (e.g. on a malformed input) cannot poison the lock for the
-//! requests after it. Only configuration (sweep cap, row-tile shards,
-//! backend chain) and eviction's reclaim take the write lock. Outputs are
+//! requests after it. Only configuration (sweep cap, backend chain) and
+//! eviction's reclaim take the write lock. Outputs are
 //! bit-identical to calling the standalone `PreparedCimModel` directly —
 //! residency changes scheduling only.
 //!
@@ -66,8 +65,8 @@ pub enum SwapError {
     /// registered).
     UnknownModel(String),
     /// The session's configured backend chain cannot execute the offered
-    /// model; it is handed back (with whatever chain prefix installed —
-    /// re-register after re-freezing or fixing the chain).
+    /// model; it is handed back unchanged (its previous chain and sweep
+    /// cap intact).
     Backend {
         /// The install failure.
         error: BackendError,
@@ -586,74 +585,44 @@ impl ModelRegistry {
             .infer_batch(requests)
     }
 
-    /// Read-locks model `id` and serves one batch segment — many workers
-    /// may do this concurrently on one model (see
-    /// [`PreparedCimModel::infer`]).
-    pub(crate) fn infer(&self, id: ModelId, segment: &Tensor) -> Tensor {
-        self.slot(id)
-            .model
-            .read()
-            .unwrap()
-            .as_ref()
-            .expect("model evicted with shards in flight")
-            .infer(segment)
-    }
-
     /// Runs `f` over every live model (write-locked one at a time, list
-    /// lock not held), collecting the first error.
-    fn for_each_live<E>(
-        &self,
-        mut f: impl FnMut(&Slot, &mut PreparedCimModel) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut first_err = None;
+    /// lock not held).
+    fn for_each_live(&self, mut f: impl FnMut(&Slot, &mut PreparedCimModel)) {
         for slot in self.slots() {
-            let mut guard = slot.model.write().unwrap();
-            if let Some(model) = guard.as_mut() {
-                if let Err(e) = f(&slot, model) {
-                    first_err.get_or_insert(e);
-                }
+            if let Some(model) = slot.model.write().unwrap().as_mut() {
+                f(&slot, model);
             }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
     /// Caps every live model's sweep size (see
     /// [`PreparedCimModel::set_max_batch`]).
     pub fn set_max_batch(&mut self, max_batch: Option<usize>) {
-        let _ = self.for_each_live(|_, m| {
-            m.set_max_batch(max_batch);
-            Ok::<(), ()>(())
-        });
-    }
-
-    /// Sets the row-tile shard count of every live model's frozen
-    /// convolutions (see [`PreparedCimModel::set_row_tile_shards`]).
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        let _ = self.for_each_live(|_, m| {
-            m.set_row_tile_shards(shards);
-            Ok::<(), ()>(())
-        });
+        self.for_each_live(|_, m| m.set_max_batch(max_batch));
     }
 
     /// Installs the execution-backend fallback chain on every live
     /// model's frozen convolutions (see
     /// [`PreparedCimModel::set_backends`] — bit-identical outputs
     /// across backends) and refreshes each slot's attribution snapshot.
+    /// All-or-nothing: every model is checked before any is changed.
     ///
     /// # Errors
     ///
-    /// The first [`BackendError`] hit; every model is still attempted, so
-    /// on error some models may carry the new chain and others their old
-    /// one — re-install a satisfiable chain to restore uniformity.
+    /// [`BackendError::NoBackend`] when some live model rejects the
+    /// chain; every model then keeps its previous chain.
     pub fn set_backends(&mut self, backends: &BackendSet) -> Result<(), BackendError> {
+        let mut accepted = true;
+        self.for_each_live(|_, m| accepted &= m.accepts_backends(backends));
+        if !accepted {
+            return Err(BackendError::NoBackend(backends.kinds()));
+        }
         self.for_each_live(|slot, m| {
-            let result = m.set_backends(backends.clone());
+            m.set_backends(backends.clone())
+                .expect("model accepted the chain it was checked against");
             *slot.meta.lock().unwrap() = meta_of(m);
-            result
-        })
+        });
+        Ok(())
     }
 
     /// The primary (most-common active) backend of each **live** resident

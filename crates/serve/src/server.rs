@@ -8,9 +8,8 @@ use crate::session::ServeSession;
 
 /// A serving front-end over a set of resident frozen models: a bounded
 /// request queue with admission control, [`Slo`](crate::Slo) priority
-/// classes (optionally aging-weighted), per-worker batch schedulers, a
-/// work-stealing shard pool for oversized sweeps, and owned worker
-/// threads draining sweeps into the registry (see crate docs for the full
+/// classes (optionally aging-weighted), per-worker batch schedulers, and
+/// owned worker threads draining sweeps into the registry (see crate docs for the full
 /// picture).
 ///
 /// [`start`](CimServer::start) runs it: it consumes the server and
@@ -24,10 +23,9 @@ pub struct CimServer {
 }
 
 impl CimServer {
-    /// Creates a server over `registry`; every resident model's sweep cap
-    /// is set to `cfg.max_batch`, its row-tile shard count to
-    /// `cfg.row_tile_shards`, and its execution-backend chain to
-    /// `cfg.backends`.
+    /// Creates a server over `registry`; every resident model's
+    /// execution-backend chain is set to `cfg.backends` and its sweep cap
+    /// to `cfg.max_batch`.
     ///
     /// # Panics
     ///
@@ -39,11 +37,10 @@ impl CimServer {
     pub fn new(mut registry: ModelRegistry, cfg: ServeConfig) -> Self {
         assert!(!registry.is_empty(), "registry has no models");
         cfg.validate().expect("invalid serve config");
-        registry.set_max_batch(cfg.max_batch);
-        registry.set_row_tile_shards(cfg.row_tile_shards);
         registry
             .set_backends(&cfg.backends)
             .expect("configured backend chain cannot execute a resident model");
+        registry.set_max_batch(cfg.max_batch);
         Self { registry, cfg }
     }
 
@@ -59,7 +56,7 @@ impl CimServer {
 
     /// Swaps the serving policy **between sessions** (e.g. a benchmark
     /// sweeping admission modes over one resident model set); resident
-    /// models get the new sweep cap and row-tile shard count. A running
+    /// models get the new backend chain and sweep cap. A running
     /// session owns the server ([`start`](CimServer::start) consumes it),
     /// so reconfiguring mid-session is impossible by construction.
     ///
@@ -67,13 +64,12 @@ impl CimServer {
     ///
     /// The violated invariant for an invalid `cfg`, or
     /// [`ConfigError::Backend`] when the new backend chain cannot execute
-    /// some resident layer (models already re-chained keep the new chain;
-    /// re-install a satisfiable one to restore uniformity).
+    /// some resident layer. On any error nothing changes: every model
+    /// keeps its chain and sweep cap, and the server keeps its policy.
     pub fn set_config(&mut self, cfg: ServeConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
-        self.registry.set_max_batch(cfg.max_batch);
-        self.registry.set_row_tile_shards(cfg.row_tile_shards);
         self.registry.set_backends(&cfg.backends)?;
+        self.registry.set_max_batch(cfg.max_batch);
         self.cfg = cfg;
         Ok(())
     }

@@ -1,5 +1,5 @@
 //! The owned, non-blocking serving session: the autoscaling worker pool,
-//! the sweep / shard execution paths, live model hot-swap, and the
+//! the sweep execution path, live model hot-swap, and the
 //! client-side submission surface.
 //!
 //! A [`ServeSession`] is created by [`CimServer::start`](crate::CimServer::start)
@@ -29,14 +29,11 @@ use crate::config::ServeConfig;
 use crate::metrics::{ModelStats, WorkerStats};
 use crate::queue::BatchScheduler;
 use crate::queue::{
-    QueuedRequest, RequestQueue, ResponseSlot, ServeStats, ShardJoin, ShardTask, Slo, SubmitError,
-    Ticket, Work, WorkPoll,
+    QueuedRequest, RequestQueue, ResponseSlot, ServeStats, SubmitError, Ticket, WorkPoll,
 };
 use crate::registry::{EvictTicket, ModelId, ModelRegistry, SlotMeta, SwapError};
 use crate::request::{Request, Target};
-use cq_cim::ShardPlan;
 use cq_core::{BackendKind, PreparedCimModel};
-use cq_tensor::Tensor;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -199,8 +196,8 @@ impl ServeSession {
     }
 
     /// Registers `model` under `name` on the **running** session: the
-    /// session's freeze-time knobs (`max_batch`, `row_tile_shards`, the
-    /// backend chain) are installed on it, and new submissions can route
+    /// session's backend chain and `max_batch` are installed on it
+    /// (nothing changes on error), and new submissions can route
     /// to it the moment this returns. Names are reusable after eviction —
     /// lookup always resolves to the newest live model.
     ///
@@ -223,11 +220,10 @@ impl ServeSession {
         {
             return Err(SwapError::SchemeNotAllowed { scheme, model });
         }
-        model.set_max_batch(shared.cfg.max_batch);
-        model.set_row_tile_shards(shared.cfg.row_tile_shards);
         if let Err(error) = model.set_backends(shared.cfg.backends.clone()) {
             return Err(SwapError::Backend { error, model });
         }
+        model.set_max_batch(shared.cfg.max_batch);
         let meta = SlotMeta {
             kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
             layers: model.backend_layer_counts(),
@@ -454,7 +450,7 @@ fn finalize_stats(shared: &SessionShared, stats: &mut ServeStats) {
     };
 }
 
-/// One worker: steal shards, form sweeps, fulfil tickets — and, in an
+/// One worker: form sweeps, fulfil tickets — and, in an
 /// autoscaling pool, retire after `scale_down_idle` without work.
 fn worker_loop(shared: &SessionShared) {
     let sched = BatchScheduler::new(
@@ -467,8 +463,7 @@ fn worker_loop(shared: &SessionShared) {
         (shared.cfg.max_workers > shared.cfg.min_workers).then_some(shared.cfg.scale_down_idle);
     loop {
         match sched.poll_work(idle_after) {
-            WorkPoll::Ready(Work::Shard(task)) => run_shard(shared, task),
-            WorkPoll::Ready(Work::Sweep(batch)) => serve_sweep(shared, batch),
+            WorkPoll::Ready(batch) => serve_sweep(shared, batch),
             WorkPoll::Idle => {
                 if try_retire(shared) {
                     return;
@@ -482,35 +477,8 @@ fn worker_loop(shared: &SessionShared) {
     }
 }
 
-/// Executes one stolen batch segment through the shared-state model path
-/// (read lock — concurrent with other segments of the same model). If
-/// execution panics, the join is failed on unwind so the coordinator
-/// propagates the panic instead of hanging.
-fn run_shard(shared: &SessionShared, task: ShardTask) {
-    struct FailOnDrop {
-        join: Arc<ShardJoin>,
-        armed: bool,
-    }
-    impl Drop for FailOnDrop {
-        fn drop(&mut self) {
-            if self.armed {
-                self.join.fail();
-            }
-        }
-    }
-    let mut guard = FailOnDrop {
-        join: task.join.clone(),
-        armed: true,
-    };
-    let output = shared.registry.infer(ModelId(task.model), &task.segment);
-    guard.armed = false;
-    let kind = shared.registry.slot_meta(ModelId(task.model)).kind;
-    shared.queue.note_backend_shard(kind, task.model);
-    task.join.complete(task.index, output);
-}
-
-/// Serves one formed sweep: runs it (whole, or sharded across the worker
-/// pool), splits the output back per request, and fulfils the tickets
+/// Serves one formed sweep: runs it, splits the output back per request,
+/// and fulfils the tickets
 /// with per-class, per-tenant latency and deadline accounting, releasing
 /// each request's model admission (the eviction drain count).
 fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
@@ -535,16 +503,7 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
     }
     let guard = AbandonOnDrop(slots);
     let rows: usize = inputs.iter().map(|t| t.dim(0)).sum();
-    let slo = metas[0].0; // sweeps are single-class
-    let shardable = shared
-        .cfg
-        .shard_rows
-        .is_some_and(|cap| rows > cap && inputs.iter().all(|t| t.dim(0) > 0));
-    let outputs = if shardable {
-        infer_sharded(shared, model, slo, &inputs, rows)
-    } else {
-        shared.registry.infer_batch(model, &inputs)
-    };
+    let outputs = shared.registry.infer_batch(model, &inputs);
     let kind = shared.registry.slot_meta(model).kind;
     shared.queue.note_backend_sweep(kind, rows as u64);
     debug_assert_eq!(outputs.len(), guard.0.len());
@@ -562,67 +521,4 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
         shared.registry.release(model);
     }
     // All fulfilled; the guard's abandon() calls are now no-ops.
-}
-
-/// Executes one oversized sweep cooperatively: the coalesced rows are
-/// split into segments of at most `min(shard_rows, max_batch)` rows — the
-/// sweep cap stays in force, since the shared segment path does no
-/// internal chunking — published to the shard pool, and executed by
-/// whichever workers steal them; this coordinator drains the pool too
-/// while it waits. Segment outputs are rejoined by exact concatenation
-/// and sliced back per request, bit-identical to the unsharded sweep
-/// (every layer processes batch rows independently; `sharded_equivalence`
-/// and the serving tests pin this).
-fn infer_sharded(
-    shared: &SessionShared,
-    model: ModelId,
-    slo: Slo,
-    inputs: &[Tensor],
-    rows: usize,
-) -> Vec<Tensor> {
-    let owned;
-    let coalesced: &Tensor = if inputs.len() == 1 {
-        &inputs[0]
-    } else {
-        owned = Tensor::concat_outer(&inputs.iter().collect::<Vec<_>>());
-        &owned
-    };
-    let seg_rows = shared
-        .cfg
-        .shard_rows
-        .unwrap()
-        .min(shared.cfg.max_batch.unwrap_or(usize::MAX));
-    let plan = ShardPlan::split_max(rows, seg_rows);
-    let join = Arc::new(ShardJoin::new(plan.num_shards()));
-    shared
-        .queue
-        .push_shards(plan.iter().enumerate().map(|(index, seg)| ShardTask {
-            model: model.0,
-            segment: coalesced.slice_outer(seg.start, seg.end),
-            index,
-            slo,
-            join: join.clone(),
-        }));
-    // Cooperative wait: keep stealing shard tasks (ours or another
-    // coordinator's) while our join is incomplete; block only when the
-    // pool is empty — every queued task is then in flight on some worker,
-    // so the join (or a failure) is guaranteed to resolve.
-    let parts = loop {
-        if join.is_done() {
-            break join.wait();
-        }
-        match shared.queue.try_pop_shard() {
-            Some(task) => run_shard(shared, task),
-            None => break join.wait(),
-        }
-    };
-    let merged = Tensor::concat_outer(&parts.iter().collect::<Vec<_>>());
-    let mut outputs = Vec::with_capacity(inputs.len());
-    let mut start = 0;
-    for input in inputs {
-        let b = input.dim(0);
-        outputs.push(merged.slice_outer(start, start + b));
-        start += b;
-    }
-    outputs
 }

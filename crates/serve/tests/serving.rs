@@ -4,11 +4,14 @@
 //! the direct `PreparedCimModel::infer` result.
 
 use cq_cim::CimConfig;
-use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
+use cq_core::{
+    build_cim_resnet, for_each_cim_conv, BackendSet, PreparedCimModel, QuantScheme, VariationCfg,
+    VariationMode,
+};
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 use cq_serve::{
     Admission, CimServer, ConfigError, ModelRegistry, Request, ServeConfig, Slo, StreamSpec,
-    SubmitError, Ticket,
+    SubmitError, SwapError, Ticket,
 };
 use cq_tensor::{CqRng, Tensor};
 use std::time::Duration;
@@ -331,6 +334,91 @@ fn set_config_validates_and_is_sessions_only() {
     assert_eq!(stats.workers.spawned, 3, "the session ran the new policy");
 }
 
+/// A model whose second CIM conv carries device variation (so only the
+/// f32 backends can execute it) while every other conv is integer-exact.
+fn partly_perturbed(seed: u64) -> PreparedCimModel {
+    let mut net = warmed_net(seed);
+    let mut idx = 0;
+    for_each_cim_conv(&mut net, |c| {
+        if idx == 1 {
+            c.set_variation(Some(VariationCfg {
+                mode: VariationMode::PerCell,
+                sigma: 0.15,
+                seed: 7,
+            }));
+        }
+        idx += 1;
+    });
+    PreparedCimModel::new(Box::new(net))
+}
+
+/// Installing a backend chain is all-or-nothing: when one conv rejects
+/// `BackendSet::int()`, no layer changes its chain and no sweep cap
+/// changes — directly on the model, through a live `register`, and
+/// through `CimServer::set_config`.
+#[test]
+fn rejected_backend_chain_changes_nothing() {
+    let f32_capped = ServeConfig::builder()
+        .backends(BackendSet::f32())
+        .max_batch(Some(5))
+        .build()
+        .unwrap();
+    let int_capped = ServeConfig::builder()
+        .backends(BackendSet::int())
+        .max_batch(Some(2))
+        .build()
+        .unwrap();
+
+    // Directly on the model.
+    let mut pm = partly_perturbed(40);
+    pm.set_backends(BackendSet::f32()).unwrap();
+    pm.set_max_batch(Some(5));
+    let counts = pm.backend_layer_counts();
+    assert!(pm.set_backends(BackendSet::int()).is_err());
+    assert_eq!(pm.backend_layer_counts(), counts, "direct: chains changed");
+    assert_eq!(pm.max_batch(), Some(5));
+
+    // Through a live registration on an int-chained session.
+    let mut registry = ModelRegistry::new();
+    registry.register("clean", prepared(41));
+    let session = CimServer::new(registry, int_capped.clone()).start();
+    let mut back = match session.register("mixed", pm) {
+        Err(SwapError::Backend { model, .. }) => model,
+        Err(e) => panic!("expected SwapError::Backend, got {e:?}"),
+        Ok(_) => panic!("an int chain cannot execute a perturbed conv"),
+    };
+    let _ = session.shutdown();
+    assert_eq!(
+        back.backend_layer_counts(),
+        counts,
+        "register: chains changed"
+    );
+    assert_eq!(back.max_batch(), Some(5), "register: sweep cap changed");
+
+    // Through `set_config` between sessions: the clean model comes first,
+    // so a partial install would re-chain it before the mixed one fails.
+    let mut registry = ModelRegistry::new();
+    registry.register("clean", prepared(42));
+    registry.register("mixed", back);
+    let mut server = CimServer::new(registry, f32_capped);
+    let layers = server.registry().backend_layer_counts();
+    assert!(matches!(
+        server.set_config(int_capped),
+        Err(ConfigError::Backend(_))
+    ));
+    assert_eq!(
+        server.config().backends,
+        BackendSet::f32(),
+        "policy changed"
+    );
+    assert_eq!(server.config().max_batch, Some(5), "policy changed");
+    assert_eq!(server.registry().backend_layer_counts(), layers);
+    for (name, mut model) in server.into_models() {
+        assert_eq!(model.count_integer_kernels().0, 0, "{name}: chain changed");
+        assert_eq!(model.max_batch(), Some(5), "{name}: sweep cap changed");
+    }
+}
+
 /// Reject admission bounds the queue: some of a fast burst is shed, the
 /// accounting is exact, and every admitted request completes correctly.
 #[test]
@@ -582,15 +670,16 @@ fn session_model_ids_and_drop_without_shutdown() {
     drop(session);
 }
 
-/// Batch-segment sharding across the worker pool (plus row-tile sharding
-/// inside every frozen conv) must leave every output bit-identical to the
-/// direct standalone path — sharding changes scheduling only.
+/// Oversized requests split into `max_batch` chunks, pipeline waves and
+/// (batch × row-tile) kernel items on the exec pool, served by two
+/// workers, must leave every output bit-identical to the direct
+/// standalone path — splitting changes scheduling only.
 #[test]
 fn sharded_serving_is_bit_exact_vs_direct() {
     let mut reference = warmed_net(60);
     let rng = &mut CqRng::new(61);
-    // 9- and 7-row requests exceed shard_rows=2 and are split into ≤2-row
-    // segments executed cooperatively; singles ride normal sweeps.
+    // 9- and 7-row requests exceed max_batch=4: each is swept alone and
+    // chunked inside the model; singles and pairs coalesce.
     let inputs: Vec<Tensor> = [9usize, 1, 7, 2, 1]
         .iter()
         .map(|&b| request(rng, b))
@@ -609,9 +698,7 @@ fn sharded_serving_is_bit_exact_vs_direct() {
             .admission(Admission::Block)
             .max_batch(Some(4))
             .max_wait(Duration::from_millis(1))
-            .workers(3)
-            .shard_rows(Some(2))
-            .row_tile_shards(Some(2))
+            .workers(2)
             .build()
             .unwrap(),
     );
@@ -627,49 +714,13 @@ fn sharded_serving_is_bit_exact_vs_direct() {
             .collect::<Vec<_>>()
     };
     let (stats, _) = s.shutdown();
-    assert_eq!(got, want, "sharded serving diverged from direct inference");
+    assert_eq!(
+        got, want,
+        "oversized serving diverged from direct inference"
+    );
     assert_eq!(stats.served, 5);
-    assert!(
-        stats.sharded_sweeps >= 2,
-        "both oversized requests must shard, got {}",
-        stats.sharded_sweeps
-    );
-    // 9 rows -> 5 segments, 7 rows -> 4 segments (≤ 2 rows each).
-    assert!(
-        stats.shards_executed >= 9,
-        "expected ≥9 shard executions, got {}",
-        stats.shards_executed
-    );
-}
-
-/// One-worker sharding must not deadlock: the coordinator drains its own
-/// shard tasks from the pool while it waits for the join.
-#[test]
-fn single_worker_sharding_drains_its_own_pool() {
-    let mut reference = warmed_net(62);
-    let big = CqRng::new(63).normal_tensor(&[6, 3, 12, 12], 1.0);
-    let want = reference.forward(&big, Mode::Eval);
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(62));
-    let server = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .workers(1)
-            .shard_rows(Some(2))
-            .build()
-            .unwrap(),
-    );
-    let s = server.start();
-    let got = {
-        s.submit(Request::to("m").batch(big.clone()))
-            .unwrap()
-            .wait()
-            .output
-    };
-    let (stats, _) = s.shutdown();
-    assert_eq!(got, want);
-    assert_eq!(stats.sharded_sweeps, 1);
-    assert_eq!(stats.shards_executed, 3);
+    assert_eq!(stats.rows_swept, 20);
+    assert_eq!(stats.max_sweep_rows, 9, "the 9-row request is swept alone");
 }
 
 /// The stream-class distribution helper still drives the replay loop —

@@ -1,18 +1,18 @@
-//! Deterministic concurrency test harness for the SLO-aware scheduler,
-//! the work-stealing shard pool, and the pollable completion handles:
+//! Deterministic concurrency test harness for the SLO-aware scheduler
+//! and the pollable completion handles:
 //! seeded multi-producer stress over mixed `try_wait`/`wait_timeout`/
 //! `wait_any` spin+block resolution (no deadlock, no lost wakeup, no
 //! lost ticket), bit-exactness of every resolution path across the
 //! psq/granularity/digitizer matrix, the aging starvation bound under a
 //! sustained latency flood, latency-over-stale-bulk completion ordering,
-//! deadline `missed` stamping, and panic propagation out of sharded
+//! deadline `missed` stamping, and panic propagation out of serving
 //! workers.
 
 use cq_cim::CimConfig;
 use cq_core::{
     build_cim_resnet, CimConv2d, PreparedCimModel, QuantScheme, VariationCfg, VariationMode,
 };
-use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
+use cq_nn::{Layer, Mode, ParamView, ResNet, ResNetSpec};
 use cq_quant::Granularity;
 use cq_serve::{
     Admission, CimServer, CompletionSet, ModelRegistry, Request, ServeConfig, Slo, Ticket,
@@ -42,8 +42,42 @@ fn request(rng: &mut CqRng, batch: usize) -> Tensor {
     rng.normal_tensor(&[batch, 3, 12, 12], 1.0)
 }
 
+/// A model wrapper whose every forward sleeps a fixed time after the
+/// inner network runs, so sweeps through it take at least that long
+/// however fast the kernels are.
+struct Slowed {
+    inner: ResNet,
+    delay: Duration,
+}
+
+impl Layer for Slowed {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let y = self.inner.forward(x, mode);
+        std::thread::sleep(self.delay);
+        y
+    }
+    fn forward_shared(&self, x: &Tensor) -> Option<Tensor> {
+        let y = self.inner.forward_shared(x);
+        std::thread::sleep(self.delay);
+        y
+    }
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.inner.backward(grad_out)
+    }
+    fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(ParamView<'_>)) {
+        self.inner.visit_params(prefix, f);
+    }
+    fn apply(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(self);
+        self.inner.apply(f);
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// Seeded-RNG stress: N producer threads submit mixed `Latency`/`Bulk`
-/// tickets (varied batch sizes, some oversized and sharded) against two
+/// tickets (varied batch sizes, some over `max_batch`) against two
 /// resident models through a small queue — and each producer resolves its
 /// tickets through a **different mix** of completion paths (blocking
 /// `wait`, `try_wait` spin, `wait_timeout` loop, `CompletionSet`
@@ -66,8 +100,6 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
         .max_batch(Some(3))
         .max_wait(Duration::from_micros(200))
         .workers(3)
-        .shard_rows(Some(2))
-        .row_tile_shards(Some(2))
         .build()
         .unwrap();
     let session = CimServer::new(registry, cfg).start();
@@ -194,8 +226,8 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
         "capacity bound violated under stress"
     );
     assert!(
-        stats.sharded_sweeps > 0,
-        "batch-5 requests over shard_rows=2 must shard"
+        stats.max_sweep_rows >= 5,
+        "batch-5 requests over max_batch=3 are swept alone"
     );
 }
 
@@ -351,7 +383,8 @@ fn completion_set_multiplexes_hundreds_in_flight() {
 /// tickets submitted at the start are still served within `bulk_max_age`
 /// plus one in-flight sweep — instead of starving until the flood ends.
 /// The promotion counter proves the mechanism (not a lucky idle gap)
-/// served them.
+/// served them. Every sweep sleeps a fixed 5 ms, so the two producers
+/// keep the single worker saturated however fast the kernels are.
 #[test]
 fn bulk_starvation_is_bounded_under_latency_flood() {
     let bulk_max_age = Duration::from_millis(150);
@@ -361,8 +394,12 @@ fn bulk_starvation_is_bounded_under_latency_flood() {
     let slack = Duration::from_millis(1000);
     let flood = Duration::from_millis(2000);
 
+    let slow = Slowed {
+        inner: warmed_net(80),
+        delay: Duration::from_millis(5),
+    };
     let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(80));
+    registry.register("m", PreparedCimModel::new(Box::new(slow)));
     let session = CimServer::new(
         registry,
         ServeConfig::builder()
@@ -610,34 +647,6 @@ fn expired_deadlines_complete_with_missed_status() {
     let (stats, _) = s.shutdown();
     assert!(!completed.missed);
     assert_eq!(stats.latency.missed, 0);
-}
-
-/// A panicking shard executor must propagate: the failed join panics the
-/// coordinating worker, which abandons its tickets, which panics the
-/// waiting client — the session never deadlocks (the sharded extension
-/// of the close-on-unwind guarantee).
-#[test]
-#[should_panic]
-fn panic_in_sharded_worker_propagates() {
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(95));
-    let server = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .workers(2)
-            .shard_rows(Some(1))
-            .build()
-            .unwrap(),
-    );
-    let s = server.start();
-    {
-        // Wrong channel count on an oversized (sharded) request: every
-        // shard executor's forward rejects it.
-        let bad = Tensor::zeros(&[5, 5, 12, 12]);
-        let t = s.submit(Request::to("m").batch(bad)).unwrap();
-        let _ = t.wait(); // panics: the coordinator abandoned the ticket
-    }
-    let _ = s.shutdown();
 }
 
 /// A worker panic in the **owned** flow propagates out of `shutdown`

@@ -122,8 +122,8 @@ impl std::error::Error for BackendError {}
 /// the integer chain (`narrow_to_i8` → `im2col_i16` → `igemm_splits_into`
 /// → `accum_to_f32`) is only driven when [`integer`](ExecBackend::integer)
 /// is `true`, and its default methods forward to the free-function
-/// kernels of this crate. Implementations must be `Send + Sync`: shard
-/// tasks call them from pooled worker threads.
+/// kernels of this crate. Implementations must be `Send + Sync`: the
+/// (batch × row-tile) work items call them from pooled worker threads.
 pub trait ExecBackend: Send + Sync + fmt::Debug {
     /// This backend's identity.
     fn kind(&self) -> BackendKind;
