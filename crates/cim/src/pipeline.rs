@@ -27,10 +27,10 @@
 //! [`cq_tensor::arena`].
 
 use crate::{Adc, Crossbar, TilingPlan};
-use cq_quant::BitSplit;
+use cq_quant::{round_half_away, BitSplit};
 use cq_tensor::{
-    arena, conv2d_grouped, conv_out_dim, exec, threads_for, ConvShape, CqRng, ExecBackend,
-    PackedPanels, Tensor,
+    arena, conv2d_multi, conv_out_dim, exec, threads_for, ConvShape, CqRng, ExecBackend,
+    PackedPanels, Patches, Tensor,
 };
 use std::ops::Range;
 
@@ -192,21 +192,6 @@ impl ColumnDigitizer for AdcDigitizer<'_> {
             }
         }
     }
-}
-
-/// `f32::round` (half away from zero, sign kept) for `|x| < 2²²`, written
-/// with adds and compares that vectorize — `round` itself is a scalar
-/// library call on the x86-64 baseline. ADC codes are clamped to at most
-/// 16 bits, far inside the range.
-#[inline]
-fn round_half_away(x: f32) -> f32 {
-    // Adding and removing 2²³ rounds to nearest-even; ties that went down
-    // to the even neighbour are moved up, away from zero.
-    const SHIFT: f32 = 8_388_608.0;
-    let a = x.abs();
-    let even = (a + SHIFT) - SHIFT;
-    let away = if a - even == 0.5 { even + 1.0 } else { even };
-    away.copysign(x)
 }
 
 /// Wraps another digitizer with deterministic per-physical-column
@@ -470,16 +455,29 @@ impl PsumPipeline {
     /// fast emulation front-end (Fig. 5 step #3). `grouped_weights` comes
     /// from [`PsumPipeline::split_grouped_weights`] (possibly with
     /// variation applied to the slices first).
-    pub fn grouped_psums(&self, a_pad: &Tensor, grouped_weights: &[Tensor]) -> Vec<Tensor> {
+    ///
+    /// One [`conv2d_multi`] call serves every split: each (image, row
+    /// tile) is im2col'd once into `patches`, which stay there for the
+    /// training step's weight gradient.
+    pub fn grouped_psums(
+        &self,
+        a_pad: &Tensor,
+        grouped_weights: &[Tensor],
+        patches: &mut Patches,
+    ) -> Vec<Tensor> {
         assert_eq!(
             grouped_weights.len(),
             self.plan.num_splits,
             "one weight set per split"
         );
-        grouped_weights
-            .iter()
-            .map(|wg| conv2d_grouped(a_pad, wg, self.stride, self.pad, self.plan.num_row_tiles))
-            .collect()
+        conv2d_multi(
+            a_pad,
+            grouped_weights,
+            self.stride,
+            self.pad,
+            self.plan.num_row_tiles,
+            patches,
+        )
     }
 
     /// Like [`PsumPipeline::grouped_psums`] but reusing caller-provided
@@ -968,7 +966,11 @@ mod tests {
             a_pad.data_mut()[bi * pchw..bi * pchw + chw]
                 .copy_from_slice(&a_int.data()[bi * chw..(bi + 1) * chw]);
         }
-        let fast = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
+        let fast = pl.grouped_psums(
+            &a_pad,
+            &pl.split_grouped_weights(&w_int),
+            &mut Patches::default(),
+        );
 
         // Hardware front-end: program arrays column by column.
         let kk = p.kh * p.kw;
@@ -1024,7 +1026,7 @@ mod tests {
                 .copy_from_slice(&a_int.data()[bi * chw..(bi + 1) * chw]);
         }
         let weights = pl.split_grouped_weights(&w_int);
-        let want = pl.grouped_psums(&a_pad, &weights);
+        let want = pl.grouped_psums(&a_pad, &weights, &mut Patches::default());
         let mut psums = Vec::new();
         let mut col = Vec::new();
         pl.grouped_psums_into(&SimdF32, &a_pad, &weights, &mut psums, &mut col);
@@ -1056,7 +1058,7 @@ mod tests {
         let int_weights = pl
             .split_grouped_weights_int(&weights, 7.0)
             .expect("tiny config slices are integer-eligible");
-        let want = pl.grouped_psums(&a_pad, &weights);
+        let want = pl.grouped_psums(&a_pad, &weights, &mut Patches::default());
         let mut psums = Vec::new();
         pl.grouped_psums_int_into(
             &IntPanels,
@@ -1131,7 +1133,11 @@ mod tests {
         let (h, w) = (5, 5);
         let mut a_pad = Tensor::zeros(&[1, p.padded_in_ch, h, w]);
         a_pad.data_mut()[..p.in_ch * h * w].copy_from_slice(a_int.data());
-        let psums = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
+        let psums = pl.grouped_psums(
+            &a_pad,
+            &pl.split_grouped_weights(&w_int),
+            &mut Patches::default(),
+        );
         let got = pl.reduce(&psums, &IdealDigitizer);
 
         let (oh, ow) = (psums[0].dim(2), psums[0].dim(3));
@@ -1160,7 +1166,11 @@ mod tests {
         let a_int = Tensor::full(&[1, p.in_ch, 5, 5], 7.0);
         let mut a_pad = Tensor::zeros(&[1, p.padded_in_ch, 5, 5]);
         a_pad.data_mut()[..p.in_ch * 25].copy_from_slice(a_int.data());
-        let psums = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
+        let psums = pl.grouped_psums(
+            &a_pad,
+            &pl.split_grouped_weights(&w_int),
+            &mut Patches::default(),
+        );
         // Absurdly small scales force saturation everywhere.
         let scales = vec![1e-3f32; p.num_splits * p.num_row_tiles * p.out_ch];
         let adc = Adc::new(QuantFormat::signed(3));
@@ -1185,7 +1195,11 @@ mod tests {
             .map(f32::floor);
         let mut a_pad = Tensor::zeros(&[1, p.padded_in_ch, 5, 5]);
         a_pad.data_mut()[..p.in_ch * 25].copy_from_slice(a_int.data());
-        let psums = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
+        let psums = pl.grouped_psums(
+            &a_pad,
+            &pl.split_grouped_weights(&w_int),
+            &mut Patches::default(),
+        );
 
         let clean = pl.reduce(&psums, &IdealDigitizer);
         let zero = pl.reduce(
@@ -1218,7 +1232,11 @@ mod tests {
             .map(f32::floor);
         let mut a_pad = Tensor::zeros(&[1, p.padded_in_ch, 5, 5]);
         a_pad.data_mut()[..p.in_ch * 25].copy_from_slice(a_int.data());
-        let psums = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
+        let psums = pl.grouped_psums(
+            &a_pad,
+            &pl.split_grouped_weights(&w_int),
+            &mut Patches::default(),
+        );
         // Coarse scales so the ADC grid visibly quantizes.
         let scales = vec![0.5f32; p.num_splits * p.num_row_tiles * p.out_ch];
         let adc = Adc::new(QuantFormat::signed(4));
@@ -1340,7 +1358,11 @@ mod tests {
         let (pl, w_int) = small_pipeline();
         let p = pl.plan().clone();
         let a_pad = Tensor::zeros(&[0, p.padded_in_ch, 6, 6]);
-        let psums = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
+        let psums = pl.grouped_psums(
+            &a_pad,
+            &pl.split_grouped_weights(&w_int),
+            &mut Patches::default(),
+        );
         assert_eq!(psums[0].dim(0), 0);
         let y = pl.reduce(&psums, &IdealDigitizer);
         assert_eq!(y.shape(), &[0, p.out_ch, 6, 6]);

@@ -34,6 +34,7 @@
 //! engine (`cq_cim::CrossbarLayer`); integration tests enforce equality.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cq_cim::{
     dequant_mults, Adc, AdcDigitizer, BackendError, BackendKind, BackendSet, CimConfig,
@@ -45,7 +46,10 @@ use cq_nn::{
 };
 use cq_quant::{BitSplit, Granularity, GroupLayout, LsqQuantizer};
 use cq_scheme::QuantScheme;
-use cq_tensor::{conv2d, conv2d_backward_input, conv2d_backward_weight, CqRng, Tensor};
+use cq_tensor::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_multi_backward_input,
+    conv2d_multi_backward_weight, CqRng, Patches, Tensor,
+};
 
 /// How device variation is injected at inference (paper Eq. (5)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +75,11 @@ pub struct VariationCfg {
 
 struct FwdCache {
     x: Tensor,
-    a_pad: Tensor,
+    /// The padded activations' im2col patches, shared by the forward and
+    /// the weight gradient.
+    patches: Patches,
     psums: Vec<Tensor>,
     grouped_weights: Vec<Tensor>,
-    dw_int_template: Tensor,
     sw_table: Vec<f32>,
     psum_quant_used: bool,
 }
@@ -112,7 +117,12 @@ pub struct CimConv2d {
 
     cache: Option<FwdCache>,
     fp_cache: Option<Tensor>,
-    p_layout_cache: HashMap<usize, Vec<GroupLayout>>,
+    p_layout_cache: HashMap<usize, Arc<[GroupLayout]>>,
+    /// im2col buffer of the training forward, lent to the training cache
+    /// until the backward hands it back for the next step. Empty until
+    /// the first training step, and again after an eval forward or
+    /// [`CimConv2d::freeze`].
+    patches: Patches,
     /// Frozen serving state: the prepared executor behind
     /// [`Layer::forward_shared`]. Present only between
     /// [`CimConv2d::freeze`] and the next invalidating mutation (training
@@ -180,6 +190,7 @@ impl CimConv2d {
             cache: None,
             fp_cache: None,
             p_layout_cache: HashMap::new(),
+            patches: Patches::default(),
             frozen: None,
             backends: BackendSet::standard(),
             cfg,
@@ -361,15 +372,16 @@ impl CimConv2d {
         &self.p_quant
     }
 
-    fn psum_layouts(&mut self, inner: usize) -> Vec<GroupLayout> {
-        if let Some(l) = self.p_layout_cache.get(&inner) {
-            return l.clone();
-        }
-        let layouts: Vec<GroupLayout> = (0..self.plan.num_splits)
-            .map(|s| self.plan.psum_layout(self.p_gran, s, inner))
-            .collect();
-        self.p_layout_cache.insert(inner, layouts.clone());
-        layouts
+    fn psum_layouts(&mut self, inner: usize) -> Arc<[GroupLayout]> {
+        let (plan, p_gran) = (&self.plan, self.p_gran);
+        self.p_layout_cache
+            .entry(inner)
+            .or_insert_with(|| {
+                (0..plan.num_splits)
+                    .map(|s| plan.psum_layout(p_gran, s, inner))
+                    .collect()
+            })
+            .clone()
     }
 
     /// Weight scale per partial-sum channel `(g · OC + oc)`, resolved from
@@ -395,20 +407,20 @@ impl CimConv2d {
 
     /// Zero-pads input channels up to `padded_in_ch` (one shared
     /// implementation on [`TilingPlan`], also used by the prepared path).
-    fn pad_channels(&self, a: &Tensor) -> Tensor {
+    fn pad_channels(&self, a: Tensor) -> Tensor {
         if self.plan.padded_in_ch == a.dim(1) {
-            return a.clone();
+            return a;
         }
         let mut out = Tensor::zeros(&[0]);
-        self.plan.pad_channels_into(a, &mut out);
+        self.plan.pad_channels_into(&a, &mut out);
         out
     }
 
     /// Strips the channel padding from a gradient tensor.
-    fn unpad_channels(&self, g: &Tensor, real_ch: usize) -> Tensor {
+    fn unpad_channels(&self, g: Tensor, real_ch: usize) -> Tensor {
         let (b, pc, h, w) = (g.dim(0), g.dim(1), g.dim(2), g.dim(3));
         if pc == real_ch {
-            return g.clone();
+            return g;
         }
         let mut out = Tensor::zeros(&[b, real_ch, h, w]);
         let chw = real_ch * h * w;
@@ -476,10 +488,11 @@ impl CimConv2d {
         let mut sums = vec![0.0f64; n];
         let mut counts = vec![0usize; n];
         for (p, layout) in psums.iter().zip(layouts) {
-            for (i, &v) in p.data().iter().enumerate() {
-                let g = layout.group_of(i);
-                sums[g] += v.abs() as f64;
-                counts[g] += 1;
+            for (r, g) in layout.runs(p.numel()) {
+                counts[g] += r.len();
+                for &v in &p.data()[r] {
+                    sums[g] += v.abs() as f64;
+                }
             }
         }
         // Binary ADCs use the sign quantizer's MSE-optimal magnitude
@@ -553,10 +566,11 @@ impl CimConv2d {
             self.a_quant.init_from(x, &GroupLayout::single());
         }
         let a_int = self.a_quant.forward_int(x, &GroupLayout::single());
-        let a_pad = self.pad_channels(&a_int);
+        let a_pad = self.pad_channels(a_int);
         let w_int = self.w_quant.forward_int(&self.weight.value, &self.w_layout);
         let pipeline = self.pipeline();
-        pipeline.grouped_psums(&a_pad, &pipeline.split_grouped_weights(&w_int))
+        let weights = pipeline.split_grouped_weights(&w_int);
+        pipeline.grouped_psums(&a_pad, &weights, &mut Patches::default())
     }
 
     /// Exports the layer as a dense [`QuantizedConv`] description for the
@@ -642,6 +656,7 @@ impl CimConv2d {
             .set_backends(self.backends.clone())
             .expect("configured backend chain cannot execute the frozen layer");
         self.frozen = Some(prepared);
+        self.patches = Patches::default();
     }
 
     /// Selects the execution-backend chain of the frozen executor (see
@@ -763,7 +778,7 @@ impl CimConv2d {
             self.a_quant.init_from(x, &GroupLayout::single());
         }
         let a_int = self.a_quant.forward_int(x, &GroupLayout::single());
-        let a_pad = self.pad_channels(&a_int);
+        let a_pad = self.pad_channels(a_int);
         let w_int = self.w_quant.forward_int(&self.weight.value, &self.w_layout);
 
         // Device variation (eval only): multiplicative factors on the
@@ -788,7 +803,10 @@ impl CimConv2d {
             );
             grouped_weights.push(pipeline.group_weight_slice(&slice));
         }
-        let psums = pipeline.grouped_psums(&a_pad, &grouped_weights);
+        // The patch buffer goes into the training cache (the backward hands
+        // it back for the next step); an eval forward drops it.
+        let mut patches = std::mem::take(&mut self.patches);
+        let psums = pipeline.grouped_psums(&a_pad, &grouped_weights, &mut patches);
 
         if self.psum_capture {
             self.captured_psums = Some(psums.clone());
@@ -819,10 +837,9 @@ impl CimConv2d {
         self.fp_cache = None;
         self.cache = (mode == Mode::Train).then(|| FwdCache {
             x: x.clone(),
-            a_pad,
+            patches,
             psums,
             grouped_weights,
-            dw_int_template: Tensor::zeros(self.weight.value.shape()),
             sw_table,
             psum_quant_used,
         });
@@ -841,10 +858,9 @@ impl CimConv2d {
         let layouts = self.psum_layouts(inner);
         let sa = self.a_quant.scales()[0];
 
-        let mut d_a_pad = Tensor::zeros(cache.a_pad.shape());
-        let mut dw_int = cache.dw_int_template.clone();
         let gchannels = p.num_row_tiles * p.out_ch;
 
+        let mut d_psums = Vec::with_capacity(p.num_splits);
         for (s, layout) in layouts.iter().enumerate() {
             let shift = self.bit_split.shift_weight(s);
             // ∂L/∂p̂ per partial-sum channel.
@@ -867,29 +883,33 @@ impl CimConv2d {
             }
             // Digitally-carried low-order splits bypass the ADC, so their
             // gradient bypasses the psum quantizer too (pure identity).
-            let d_psum = if cache.psum_quant_used && s >= self.digital_splits {
+            d_psums.push(if cache.psum_quant_used && s >= self.digital_splits {
                 self.p_quant.backward(&cache.psums[s], &grad_phat, layout)
             } else {
                 grad_phat
-            };
-            let da = conv2d_backward_input(
-                &d_psum,
-                &cache.grouped_weights[s],
-                cache.a_pad.shape(),
-                self.stride,
-                self.pad,
-                p.num_row_tiles,
-            );
-            d_a_pad.add_assign(&da);
-            let dwg = conv2d_backward_weight(
-                &d_psum,
-                &cache.a_pad,
-                cache.grouped_weights[s].shape(),
-                self.stride,
-                self.pad,
-                p.num_row_tiles,
-            );
-            self.scatter_grouped_grad(&dwg, 1.0 / shift, &mut dw_int);
+            });
+        }
+        // Every split at once: one batch-folded GEMM pass per row tile for
+        // the input gradient (summed over splits in split order), and the
+        // forward's patches for the weight gradients.
+        let d_a_pad = conv2d_multi_backward_input(
+            &d_psums,
+            &cache.grouped_weights,
+            &[batch, p.padded_in_ch, cache.x.dim(2), cache.x.dim(3)],
+            self.stride,
+            self.pad,
+            p.num_row_tiles,
+        );
+        let dwgs = conv2d_multi_backward_weight(
+            &d_psums,
+            &cache.patches,
+            cache.grouped_weights[0].shape(),
+        );
+        self.patches = cache.patches;
+        let mut dw_int = Tensor::zeros(self.weight.value.shape());
+        for (s, dwg) in dwgs.iter().enumerate() {
+            let shift = self.bit_split.shift_weight(s);
+            self.scatter_grouped_grad(dwg, 1.0 / shift, &mut dw_int);
         }
 
         // Weight quantizer STE (+ scale gradients).
@@ -903,7 +923,7 @@ impl CimConv2d {
         }
 
         // Activation quantizer STE (+ scale gradient).
-        let d_a_int = self.unpad_channels(&d_a_pad, cache.x.dim(1));
+        let d_a_int = self.unpad_channels(d_a_pad, cache.x.dim(1));
         let grad_ahat = d_a_int.scale(1.0 / sa);
         self.a_quant
             .backward(&cache.x, &grad_ahat, &GroupLayout::single())

@@ -3,6 +3,7 @@
 
 use cq_tensor::Tensor;
 use std::fmt;
+use std::ops::Range;
 
 /// Quantization granularity: how many elements share one scale factor.
 ///
@@ -149,6 +150,56 @@ impl GroupLayout {
         }
     }
 
+    /// The maximal runs of consecutive elements that share a group, in
+    /// index order, for a tensor of `numel` elements: `(range, group)`
+    /// pairs tiling `0..numel`. Neighbouring channels mapped to one group
+    /// (including across a batch boundary) form one run, so a
+    /// [`GroupLayout::Single`] tensor is a single run.
+    ///
+    /// Every grouped loop walks these runs instead of resolving
+    /// [`GroupLayout::group_of`] per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `numel` is not a whole number of `channels × inner`
+    /// blocks.
+    pub fn runs(&self, numel: usize) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
+        let (inner, map): (usize, &[u32]) = match self {
+            GroupLayout::Single => (numel.max(1), &[0]),
+            GroupLayout::Channelwise {
+                inner,
+                channels,
+                map,
+                ..
+            } => {
+                let block = inner * channels;
+                assert!(
+                    numel % block == 0,
+                    "numel {numel} not a multiple of {block}"
+                );
+                (*inner, map)
+            }
+        };
+        // Walk channel instances `k` (channel `c = k % channels` of block
+        // `k / channels`), merging neighbours of one group.
+        let n = numel / inner;
+        let (mut k, mut c) = (0, 0);
+        std::iter::from_fn(move || {
+            if k >= n {
+                return None;
+            }
+            let (start, g) = (k, map[c]);
+            loop {
+                k += 1;
+                c = if c + 1 == map.len() { 0 } else { c + 1 };
+                if k >= n || map[c] != g {
+                    break;
+                }
+            }
+            Some((start * inner..k * inner, g as usize))
+        })
+    }
+
     /// Checks that a tensor is compatible with this layout.
     ///
     /// # Panics
@@ -267,6 +318,38 @@ mod tests {
             assert_eq!(l.group_of_channel(ch + 3), l.group_of_channel(ch));
         }
         assert_eq!(GroupLayout::single().group_of_channel(9), 0);
+    }
+
+    /// Runs tile the tensor in index order, agree with `group_of` on
+    /// every element, and are maximal.
+    #[test]
+    fn runs_tile_the_tensor_and_match_group_of() {
+        let layouts = [
+            (GroupLayout::single(), 10),
+            (GroupLayout::channelwise(4, vec![0, 0, 1]), 24),
+            (GroupLayout::channelwise(2, vec![1, 0, 0, 1]), 16),
+            (
+                GroupLayout::channelwise_with_groups(2, vec![4, 5, 6, 7], 8),
+                16,
+            ),
+            (GroupLayout::channelwise(3, vec![0, 0]), 12),
+        ];
+        for (l, numel) in &layouts {
+            let runs: Vec<_> = l.runs(*numel).collect();
+            let mut next = 0;
+            for (i, (r, g)) in runs.iter().enumerate() {
+                assert_eq!(r.start, next, "{l:?}: runs tile in order");
+                assert!(!r.is_empty());
+                assert!(r.clone().all(|e| l.group_of(e) == *g), "{l:?}: {r:?}");
+                if i > 0 {
+                    assert_ne!(runs[i - 1].1, *g, "{l:?}: runs are maximal");
+                }
+                next = r.end;
+            }
+            assert_eq!(next, *numel);
+        }
+        assert_eq!(GroupLayout::single().runs(0).count(), 0);
+        assert_eq!(GroupLayout::channelwise(3, vec![0, 0]).runs(12).count(), 1);
     }
 
     #[test]

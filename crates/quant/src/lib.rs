@@ -34,5 +34,5 @@ mod qformat;
 
 pub use bitsplit::BitSplit;
 pub use granularity::{Granularity, GroupLayout};
-pub use lsq::{LsqQuantizer, SCALE_EPS};
+pub use lsq::{round_half_away, LsqQuantizer, SCALE_EPS};
 pub use qformat::QuantFormat;

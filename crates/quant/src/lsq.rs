@@ -13,7 +13,7 @@
 //! the gradient scale `g = 1/sqrt(N_g · Qp)`.
 
 use crate::{GroupLayout, QuantFormat};
-use cq_tensor::Tensor;
+use cq_tensor::{arena, Tensor};
 
 /// Smallest representable scale; keeps SGD from driving scales to zero or
 /// negative values.
@@ -132,10 +132,11 @@ impl LsqQuantizer {
         layout.validate(v);
         let mut sums = vec![0.0f64; self.scales.len()];
         let mut counts = vec![0usize; self.scales.len()];
-        for (i, &x) in v.data().iter().enumerate() {
-            let g = layout.group_of(i);
-            sums[g] += x.abs() as f64;
-            counts[g] += 1;
+        for (r, g) in layout.runs(v.numel()) {
+            counts[g] += r.len();
+            for &x in &v.data()[r] {
+                sums[g] += x.abs() as f64;
+            }
         }
         let factor = if self.format.is_binary() {
             1.0
@@ -195,30 +196,11 @@ impl LsqQuantizer {
         layout.validate(out);
         let (qn, qp) = (self.format.qn(), self.format.qp());
         let binary = self.format.is_binary();
-        match layout {
-            GroupLayout::Single => {
-                let s = self.scales[0];
-                for x in out.data_mut() {
-                    *x = quantize_one(*x, s, qn, qp, binary);
-                }
-            }
-            GroupLayout::Channelwise {
-                inner,
-                channels,
-                map,
-                ..
-            } => {
-                let data = out.data_mut();
-                let block = inner * channels;
-                for (bi, blockslice) in data.chunks_mut(block).enumerate() {
-                    debug_assert!(bi < usize::MAX);
-                    for (ch, chunk) in blockslice.chunks_mut(*inner).enumerate() {
-                        let s = self.scales[map[ch] as usize];
-                        for x in chunk {
-                            *x = quantize_one(*x, s, qn, qp, binary);
-                        }
-                    }
-                }
+        let data = out.data_mut();
+        for (r, g) in layout.runs(data.len()) {
+            let s = self.scales[g];
+            for x in &mut data[r] {
+                *x = quantize_one(*x, s, qn, qp, binary);
             }
         }
     }
@@ -236,23 +218,11 @@ impl LsqQuantizer {
         );
         layout.validate(v_int);
         let mut out = v_int.clone();
-        match layout {
-            GroupLayout::Single => out.scale_in_place(self.scales[0]),
-            GroupLayout::Channelwise {
-                inner,
-                channels,
-                map,
-                ..
-            } => {
-                let block = inner * channels;
-                for blockslice in out.data_mut().chunks_mut(block) {
-                    for (ch, chunk) in blockslice.chunks_mut(*inner).enumerate() {
-                        let s = self.scales[map[ch] as usize];
-                        for x in chunk {
-                            *x *= s;
-                        }
-                    }
-                }
+        let data = out.data_mut();
+        for (r, g) in layout.runs(data.len()) {
+            let s = self.scales[g];
+            for x in &mut data[r] {
+                *x *= s;
             }
         }
         out
@@ -273,32 +243,13 @@ impl LsqQuantizer {
         );
         layout.validate(v);
         let mut out = v.clone();
-        match layout {
-            // True division, not multiplication by the reciprocal: the
-            // Channelwise arm divides, and the two layouts must agree
-            // bit-exactly when they describe the same grouping (the repo's
-            // exact-f32-agreement invariant across granularities).
-            GroupLayout::Single => {
-                let s = self.scales[0];
-                for x in out.data_mut() {
-                    *x /= s;
-                }
-            }
-            GroupLayout::Channelwise {
-                inner,
-                channels,
-                map,
-                ..
-            } => {
-                let block = inner * channels;
-                for blockslice in out.data_mut().chunks_mut(block) {
-                    for (ch, chunk) in blockslice.chunks_mut(*inner).enumerate() {
-                        let s = self.scales[map[ch] as usize];
-                        for x in chunk {
-                            *x /= s;
-                        }
-                    }
-                }
+        let data = out.data_mut();
+        // True division, not multiplication by the reciprocal: every
+        // layout describing the same grouping must agree bit-exactly.
+        for (r, g) in layout.runs(data.len()) {
+            let s = self.scales[g];
+            for x in &mut data[r] {
+                *x /= s;
             }
         }
         out
@@ -337,22 +288,38 @@ impl LsqQuantizer {
                 }
             })
             .collect();
+        let n = v.numel();
         let mut dv = Tensor::zeros(v.shape());
-        {
-            let vd = v.data();
-            let gd = grad_vhat.data();
-            let out = dv.data_mut();
-            for i in 0..vd.len() {
-                let g = layout.group_of(i);
-                let s = self.scales[g];
-                let vs = vd[i] / s;
-                let (pass, term) = lsq_terms(vs, qn, qp, binary);
-                if pass {
-                    out[i] = gd[i];
-                }
-                self.scale_grads[g] += gd[i] * term * gscales[g];
-            }
+        // Phase 1, elementwise: the STE gradient and each element's
+        // scale-gradient term `∂L/∂v̂ · ∂v̂/∂s · g`. Runs are often short
+        // (one `OH·OW` channel of a column-wise psum), so the per-run work
+        // is only spreading each run's scale and gradient scale over
+        // element-wise buffers; the arithmetic is one long loop.
+        let mut terms = arena::take_f32(n);
+        let mut s = arena::take_f32(n);
+        let mut gs = arena::take_f32(n);
+        for (r, g) in layout.runs(n) {
+            s[r.clone()].fill(self.scales[g]);
+            gs[r].fill(gscales[g]);
         }
+        let (x, gv) = (v.data(), grad_vhat.data());
+        if binary {
+            ste::<true>(dv.data_mut(), &mut terms, x, gv, &s, &gs, (qn, qp));
+        } else {
+            ste::<false>(dv.data_mut(), &mut terms, x, gv, &s, &gs, (qn, qp));
+        }
+        arena::put_f32(s);
+        arena::put_f32(gs);
+        // Phase 2: each group's terms summed into its gradient in index
+        // order.
+        for (r, g) in layout.runs(n) {
+            let mut acc = self.scale_grads[g];
+            for &t in &terms[r] {
+                acc += t;
+            }
+            self.scale_grads[g] = acc;
+        }
+        arena::put_f32(terms);
         dv
     }
 
@@ -385,6 +352,21 @@ impl LsqQuantizer {
     }
 }
 
+/// `f32::round` (half away from zero, sign kept) for `|x| < 2²²`, written
+/// with adds and compares that vectorize — `round` itself is a scalar
+/// library call on the x86-64 baseline. ADC codes and LSQ codes are
+/// clamped to at most 16 bits, far inside the range.
+#[inline]
+pub fn round_half_away(x: f32) -> f32 {
+    // Adding and removing 2²³ rounds to nearest-even; ties that went down
+    // to the even neighbour are moved up, away from zero.
+    const SHIFT: f32 = 8_388_608.0;
+    let a = x.abs();
+    let even = (a + SHIFT) - SHIFT;
+    let away = if a - even == 0.5 { even + 1.0 } else { even };
+    away.copysign(x)
+}
+
 #[inline]
 fn quantize_one(v: f32, s: f32, qn: f32, qp: f32, binary: bool) -> f32 {
     let vs = v / s;
@@ -395,29 +377,53 @@ fn quantize_one(v: f32, s: f32, qn: f32, qp: f32, binary: bool) -> f32 {
             -1.0
         }
     } else {
-        vs.clamp(-qn, qp).round()
+        round_half_away(vs.clamp(-qn, qp))
+    }
+}
+
+/// The elementwise phase of [`LsqQuantizer::backward`] for one format
+/// family, with per-element scales `s` and gradient scales `gs`: writes
+/// the STE gradient to `out` and the scale-gradient term to `terms`.
+/// Branch-free, so it vectorizes.
+fn ste<const BINARY: bool>(
+    out: &mut [f32],
+    terms: &mut [f32],
+    x: &[f32],
+    gv: &[f32],
+    s: &[f32],
+    gs: &[f32],
+    (qn, qp): (f32, f32),
+) {
+    let elems = x.iter().zip(gv).zip(s).zip(gs);
+    for ((o, t), (((&x, &gv), &s), &gs)) in out.iter_mut().zip(terms).zip(elems) {
+        let (pass, term) = lsq_terms(x / s, qn, qp, BINARY);
+        *o = if pass { gv } else { 0.0 };
+        *t = gv * term * gs;
     }
 }
 
 /// Returns `(in_range, scale_grad_term)` for one normalized value.
+///
+/// Branch-free (selects, and [`round_half_away`] in place of the library
+/// `round`, equal on the in-range values whose term uses it), so the
+/// backward's run loops vectorize.
 #[inline]
 fn lsq_terms(vs: f32, qn: f32, qp: f32, binary: bool) -> (bool, f32) {
-    if binary {
-        if vs < -1.0 {
-            (false, -1.0)
-        } else if vs > 1.0 {
-            (false, 1.0)
-        } else {
-            let q = if vs >= 0.0 { 1.0 } else { -1.0 };
-            (true, q - vs)
-        }
-    } else if vs <= -qn {
-        (false, -qn)
-    } else if vs >= qp {
-        (false, qp)
+    let (lo, hi, inside) = if binary {
+        let q = if vs >= 0.0 { 1.0 } else { -1.0 };
+        (vs < -1.0, vs > 1.0, q - vs)
     } else {
-        (true, vs.round() - vs)
-    }
+        (vs <= -qn, vs >= qp, round_half_away(vs) - vs)
+    };
+    let (lo_term, hi_term) = if binary { (-1.0, 1.0) } else { (-qn, qp) };
+    let term = if lo {
+        lo_term
+    } else if hi {
+        hi_term
+    } else {
+        inside
+    };
+    (!lo && !hi, term)
 }
 
 #[cfg(test)]
@@ -619,6 +625,114 @@ mod tests {
             let int_single = q.forward_int(&v, &GroupLayout::single());
             let int_cw = q.forward_int(&v, &cw);
             assert_eq!(int_single, int_cw, "forward_int at scale {scale}");
+        }
+    }
+
+    /// Every grouped loop walks [`GroupLayout::runs`]; this pins each one
+    /// bit for bit against a per-element `group_of` oracle (the loops the
+    /// runs replaced) on layer-, array- and column-wise layouts and a
+    /// sparse per-split layout.
+    #[test]
+    fn run_wise_loops_match_per_element_group_of_oracle() {
+        use cq_tensor::CqRng;
+        let (batch, ch, inner) = (3usize, 48usize, 70usize);
+        let layouts = [
+            GroupLayout::single(),
+            GroupLayout::channelwise(inner, (0..ch as u32).map(|c| c / 12).collect()),
+            GroupLayout::channelwise(inner, (0..ch as u32).collect()),
+            GroupLayout::channelwise_with_groups(
+                inner,
+                (0..ch as u32).map(|c| 50 + c).collect(),
+                98,
+            ),
+        ];
+        let mut rng = CqRng::new(9);
+        let v = rng.normal_tensor(&[batch, ch, inner], 2.0);
+        let gv = rng.normal_tensor(&[batch, ch, inner], 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for format in [QuantFormat::signed(3), QuantFormat::signed(1)] {
+            for layout in &layouts {
+                let groups = layout.num_groups();
+                let (qn, qp, binary) = (format.qn(), format.qp(), format.is_binary());
+                let mut q = LsqQuantizer::new(format, groups);
+                q.init_from(&v, layout);
+                // init_from: f64 sums per group in index order.
+                let mut sums = vec![0.0f64; groups];
+                let mut counts = vec![0usize; groups];
+                for (i, &x) in v.data().iter().enumerate() {
+                    sums[layout.group_of(i)] += x.abs() as f64;
+                    counts[layout.group_of(i)] += 1;
+                }
+                let factor = if binary {
+                    1.0
+                } else {
+                    2.0 / (qp as f64).sqrt()
+                };
+                for g in 0..groups {
+                    let mean = if counts[g] > 0 {
+                        sums[g] / counts[g] as f64
+                    } else {
+                        0.0
+                    };
+                    let want = ((factor * mean) as f32).max(SCALE_EPS.max(1e-4));
+                    assert_eq!(q.scales()[g].to_bits(), want.to_bits(), "init {layout:?}");
+                }
+                let scale_of = |i: usize| q.scales()[layout.group_of(i)];
+                let per_elem = |f: &dyn Fn(usize, f32) -> f32| {
+                    let data = v.data().iter().enumerate().map(|(i, &x)| f(i, x)).collect();
+                    Tensor::from_vec(data, v.shape())
+                };
+                let want_int = per_elem(&|i, x| quantize_one(x, scale_of(i), qn, qp, binary));
+                assert_eq!(bits(&q.forward_int(&v, layout)), bits(&want_int));
+                let want_deq = per_elem(&|i, x| x * scale_of(i));
+                assert_eq!(bits(&q.dequantize(&v, layout)), bits(&want_deq));
+                let want_div = per_elem(&|i, x| x / scale_of(i));
+                assert_eq!(bits(&q.divide_by_scales(&v, layout)), bits(&want_div));
+
+                // backward: the per-element loop, on a non-zero start.
+                let start: Vec<f32> = (0..groups).map(|g| 0.125 * g as f32).collect();
+                let counts = layout.counts(v.numel());
+                let mut want_ds = start.clone();
+                let mut want_dv = Tensor::zeros(v.shape());
+                for i in 0..v.numel() {
+                    let g = layout.group_of(i);
+                    let gscale = if counts[g] == 0 {
+                        0.0
+                    } else {
+                        1.0 / ((counts[g] as f32) * qp).sqrt()
+                    };
+                    let (pass, term) = lsq_terms(v.data()[i] / q.scales()[g], qn, qp, binary);
+                    if pass {
+                        want_dv.data_mut()[i] = gv.data()[i];
+                    }
+                    want_ds[g] += gv.data()[i] * term * gscale;
+                }
+                let mut qb = q.clone();
+                qb.scale_grads_mut().copy_from_slice(&start);
+                let dv = qb.backward(&v, &gv, layout);
+                assert_eq!(bits(&dv), bits(&want_dv), "dv {layout:?}");
+                let ds: Vec<u32> = qb.scale_grads().iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u32> = want_ds.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(ds, want, "scale grads {layout:?}");
+            }
+        }
+    }
+
+    /// `round_half_away` is `f32::round` on the whole clamped code range:
+    /// every quarter step (ties included) and random values up to 2¹⁶.
+    #[test]
+    fn round_half_away_matches_round() {
+        let mut state = 7u64;
+        let random = (0..100_000).map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f32 / (1u64 << 31) as f32 - 0.5) * 131_072.0
+        });
+        let quarters = (-(1i32 << 18)..=(1 << 18)).map(|k| k as f32 / 4.0);
+        for x in quarters
+            .chain(random)
+            .chain([-0.0, 0.0, 0.49999997, -0.49999997])
+        {
+            assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "{x}");
         }
     }
 

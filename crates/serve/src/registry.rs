@@ -342,15 +342,12 @@ impl ModelRegistry {
     /// Panics if a live model already holds `name`.
     pub fn register(&mut self, name: impl Into<String>, mut model: PreparedCimModel) -> ModelId {
         let scheme = model.scheme();
-        match self.register_live(
-            name,
-            scheme,
-            model,
-            SlotMeta {
+        match self.register_live(name, scheme, model, |_| {
+            Ok(SlotMeta {
                 kind: BackendKind::SimdF32,
                 layers: [0; 3],
-            },
-        ) {
+            })
+        }) {
             Ok(id) => id,
             Err(SwapError::DuplicateName { name, .. }) => {
                 panic!("model id '{name}' already registered")
@@ -359,21 +356,28 @@ impl ModelRegistry {
         }
     }
 
-    /// Shared-path registration with a precomputed attribution snapshot —
-    /// the hot-swap seam used by
+    /// Shared-path registration — the hot-swap seam used by
     /// [`ServeSession::register`](crate::ServeSession::register).
+    ///
+    /// The name is checked and the slot inserted under one hold of the
+    /// registry lock, and `prepare` (which installs the session's policy
+    /// on the model and returns its attribution snapshot) runs in between,
+    /// so a model refused for its name is handed back untouched, and no
+    /// concurrent registration can take the name meanwhile.
     ///
     /// # Errors
     ///
     /// [`SwapError::DuplicateName`] (model handed back, attributing the
     /// live holder's scheme) when a live model already holds `name` —
-    /// including the same name offered under a different scheme.
+    /// including the same name offered under a different scheme — and
+    /// [`SwapError::Backend`] when `prepare` fails (it must leave the
+    /// model unchanged on error).
     pub(crate) fn register_live(
         &self,
         name: impl Into<String>,
         scheme: String,
-        model: PreparedCimModel,
-        meta: SlotMeta,
+        mut model: PreparedCimModel,
+        prepare: impl FnOnce(&mut PreparedCimModel) -> Result<SlotMeta, BackendError>,
     ) -> Result<ModelId, SwapError> {
         let name = name.into();
         let mut slots = self.slots.write().unwrap();
@@ -384,6 +388,10 @@ impl ModelRegistry {
                 model,
             });
         }
+        let meta = match prepare(&mut model) {
+            Ok(meta) => meta,
+            Err(error) => return Err(SwapError::Backend { error, model }),
+        };
         slots.push(Slot::new(name, scheme, model, meta));
         Ok(ModelId(slots.len() - 1))
     }
@@ -767,15 +775,12 @@ mod tests {
         let v1 = registry.register("m", tiny_model());
         let t = registry.evict("m").unwrap();
         let v2 = registry
-            .register_live(
-                "m",
-                "paper-lsq-column".to_string(),
-                t.wait(),
-                SlotMeta {
+            .register_live("m", "paper-lsq-column".to_string(), t.wait(), |_| {
+                Ok(SlotMeta {
                     kind: BackendKind::SimdF32,
                     layers: [0; 3],
-                },
-            )
+                })
+            })
             .unwrap();
         assert_ne!(v1, v2, "fresh slot");
         assert_eq!(registry.id("m"), Some(v2), "lookup finds the newest live");
@@ -796,7 +801,7 @@ mod tests {
             kind: BackendKind::SimdF32,
             layers: [0; 3],
         };
-        match registry.register_live("m", "bwma".to_string(), tiny_model(), meta) {
+        match registry.register_live("m", "bwma".to_string(), tiny_model(), |_| Ok(meta)) {
             Err(SwapError::DuplicateName {
                 name,
                 existing_scheme,

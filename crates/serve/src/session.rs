@@ -220,15 +220,16 @@ impl ServeSession {
         {
             return Err(SwapError::SchemeNotAllowed { scheme, model });
         }
-        if let Err(error) = model.set_backends(shared.cfg.backends.clone()) {
-            return Err(SwapError::Backend { error, model });
-        }
-        model.set_max_batch(shared.cfg.max_batch);
-        let meta = SlotMeta {
-            kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
-            layers: model.backend_layer_counts(),
-        };
-        let id = shared.registry.register_live(name, scheme, model, meta)?;
+        let id = shared
+            .registry
+            .register_live(name, scheme, model, |model| {
+                model.set_backends(shared.cfg.backends.clone())?;
+                model.set_max_batch(shared.cfg.max_batch);
+                Ok(SlotMeta {
+                    kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
+                    layers: model.backend_layer_counts(),
+                })
+            })?;
         shared.queue.note_hot_register();
         shared
             .queue

@@ -419,6 +419,37 @@ fn rejected_backend_chain_changes_nothing() {
     }
 }
 
+/// A model offered under a live name comes back exactly as it was
+/// offered: the session's chain and sweep cap are installed only after
+/// the name check passes.
+#[test]
+fn duplicate_name_hands_back_model_untouched() {
+    let mut registry = ModelRegistry::new();
+    registry.register("m", prepared(43));
+    let session = CimServer::new(
+        registry,
+        ServeConfig::builder()
+            .backends(BackendSet::int())
+            .max_batch(Some(2))
+            .build()
+            .unwrap(),
+    )
+    .start();
+    let mut pm = prepared(44);
+    pm.set_backends(BackendSet::f32()).unwrap();
+    pm.set_max_batch(Some(5));
+    let counts = pm.backend_layer_counts();
+    let mut back = match session.register("m", pm) {
+        Err(SwapError::DuplicateName { model, .. }) => model,
+        Err(e) => panic!("expected SwapError::DuplicateName, got {e:?}"),
+        Ok(_) => panic!("a live model already holds the name"),
+    };
+    let _ = session.shutdown();
+    assert_eq!(back.max_batch(), Some(5), "sweep cap changed");
+    assert_eq!(back.backend_layer_counts(), counts, "chain changed");
+    assert_eq!(back.count_integer_kernels().0, 0, "int chain installed");
+}
+
 /// Reject admission bounds the queue: some of a fast burst is shed, the
 /// accounting is exact, and every admitted request completes correctly.
 #[test]

@@ -46,7 +46,8 @@ pub use backend::{
 };
 pub use conv::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_grouped, conv2d_grouped_into,
-    conv2d_naive, conv_out_dim, ConvShape,
+    conv2d_multi, conv2d_multi_backward_input, conv2d_multi_backward_weight, conv2d_naive,
+    conv_out_dim, ConvShape, Patches,
 };
 pub use igemm::{
     accum_to_f32, igemm_into, igemm_splits_into, im2col_i16, im2col_i8, narrow_to_i8,

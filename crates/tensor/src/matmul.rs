@@ -81,7 +81,7 @@ pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
 }
 
 /// Serial `i-k-j` kernel over a row block: `c[i,:] += a[i,kk] * b[kk,:]`.
-fn gemm_nn_rows(k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+pub(crate) fn gemm_nn_rows(k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let m = a.len() / k;
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
